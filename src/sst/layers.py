@@ -7,6 +7,10 @@ Parameter tensors are created with requires_grad=True and exposed through
 checkpoint format and the optimizer both rely on that order being stable.
 ``l2_parameters()`` returns the subset subject to weight decay: dense and
 projection weights only, never biases or normalization gains.
+
+Dense layers and layer normalization run as the fused ``tensor.linear`` and
+``tensor.layer_norm`` ops, one tape node each (plus one for a dense layer's
+activation) with hand-written backward passes.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ class DenseLayer:
             raise ShapeMismatchError(
                 f"dense layer expects trailing dim {self.n_in}, got {x.shape[-1]}"
             )
-        out = x @ self.weight + self.bias
+        out = T.linear(x, self.weight, self.bias)
         if self.activation == "relu":
             return T.relu(out)
         if self.activation == "sigmoid":
@@ -172,11 +176,7 @@ class LayerNorm:
             raise ShapeMismatchError(
                 f"layer norm expects trailing dim {self.width}, got {x.shape[-1]}"
             )
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / T.sqrt(var + self.EPS)
-        return normed * self.gain + self.bias
+        return T.layer_norm(x, self.gain, self.bias, self.EPS)
 
     def parameters(self):
         return [("gain", self.gain), ("bias", self.bias)]

@@ -87,6 +87,14 @@ class SstConfig:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
 
 
+def pair_probabilities(raw: Tensor) -> Tensor:
+    """[B, 2m] raw (negative, positive) head scores -> [B, m] positive
+    probabilities pos / (pos + neg)."""
+    pairs = raw.reshape(raw.shape[0], raw.shape[1] // 2, 2)
+    neg, pos = pairs[:, :, 0], pairs[:, :, 1]
+    return pos / (pos + neg)
+
+
 class SstModel:
     """Encoder over [B, T, n_features] inputs producing [B, 2*n_tasks] raw
     sigmoid scores, two per task: column 2j is the negative head and 2j+1
@@ -137,11 +145,7 @@ class SstModel:
         """Per-task positive probability: each (negative, positive) head pair
         is normalized as pos / (pos + neg).  Sigmoid outputs are strictly
         positive so the ratio is always defined."""
-        raw = self.forward(x, pad_mask, training=False)
-        m = self.config.n_tasks
-        pairs = raw.reshape(raw.shape[0], m, 2)
-        neg, pos = pairs[:, :, 0], pairs[:, :, 1]
-        return pos / (pos + neg)
+        return pair_probabilities(self.forward(x, pad_mask, training=False))
 
     # -- parameter bookkeeping -----------------------------------------
 

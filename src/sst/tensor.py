@@ -10,11 +10,22 @@ double the gradients, so callers zero grads between optimizer steps.
 All values are 64-bit floats in row-major order.  Broadcasting follows the
 conventional trailing-dimension alignment.  Any op that produces a NaN or Inf
 raises :class:`NumericsError` immediately, naming the op; silent propagation
-would poison every downstream result.
+would poison every downstream result.  The check is exact but cheap: it sums
+the array first, and a finite sum proves every element finite; only a
+non-finite sum (a NaN or Inf, or a sum that merely overflows) pays for the
+elementwise test.
+
+A matmul of a batched ``a [.., M, K]`` by a 2-D ``b [K, N]`` runs forward and
+backward as single 2-D GEMMs over ``a``'s flattened leading axes, so the
+weight gradient is one ``[K, N]`` product.  Three fused ops each record one tape node with a hand-written
+backward in place of a chain of elementwise nodes: ``linear`` (``x @ w + b``),
+``layer_norm`` (normalize the trailing axis, then scale and shift) and
+``sum_of_squares`` (the L2 penalty over a list of weight tensors).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -26,6 +37,9 @@ __all__ = [
     "NumericsError",
     "OPS",
     "matmul",
+    "linear",
+    "layer_norm",
+    "sum_of_squares",
     "add",
     "sub",
     "mul",
@@ -67,6 +81,9 @@ class NumericsError(ArithmeticError):
 # sweeps this list with grad_check so new ops cannot dodge verification.
 OPS = (
     "matmul",
+    "linear",
+    "layer_norm",
+    "sum_of_squares",
     "add",
     "sub",
     "mul",
@@ -92,7 +109,12 @@ OPS = (
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    # A NaN or Inf anywhere makes the sum non-finite, so a finite sum proves
+    # every element finite.  A non-finite sum may be mere overflow of finite
+    # elements, which the elementwise test then tells apart.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = arr.sum()
+    if not math.isfinite(total) and not np.all(np.isfinite(arr)):
         raise NumericsError(f"non-finite values produced by op '{op}'")
 
 
@@ -246,6 +268,8 @@ def matmul(a, b) -> Tensor:
     a, b = _ensure_tensor(a), _ensure_tensor(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    if b.ndim == 2:
+        return _affine(a, b, None, "matmul")
     try:
         with np.errstate(over="ignore"):
             out = np.matmul(a.data, b.data)
@@ -260,6 +284,89 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return Tensor._from_op(out, "matmul", (a, b), bwd)
+
+
+def linear(x, w, b) -> Tensor:
+    """Affine map ``x [.., K] @ w [K, N] + b [N]`` as one tape node."""
+    x, w, b = _ensure_tensor(x), _ensure_tensor(w), _ensure_tensor(b)
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeMismatchError(
+            f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}"
+        )
+    return _affine(x, w, b, "linear")
+
+
+def _affine(x: Tensor, w: Tensor, b: Tensor | None, op: str) -> Tensor:
+    """``x @ w`` (plus ``b``) for a 2-D ``w``, with ``x``'s leading axes
+    flattened so that forward and backward are each one 2-D GEMM and the
+    weight gradient is the single product ``x2d.T @ g2d``."""
+    x2 = x.data.reshape(-1, x.shape[-1])
+    with np.errstate(over="ignore"):
+        out = x2 @ w.data
+        if b is not None:
+            out += b.data
+
+    def bwd(g: np.ndarray):
+        g2 = g.reshape(-1, w.shape[1])
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        grads = (gx, x2.T @ g2)
+        return grads if b is None else grads + (g2.sum(axis=0),)
+
+    parents = (x, w) if b is None else (x, w, b)
+    return Tensor._from_op(out.reshape(x.shape[:-1] + (w.shape[1],)), op, parents, bwd)
+
+
+def layer_norm(x, gain, bias, eps: float) -> Tensor:
+    """Normalize the trailing axis to zero mean and unit variance, then scale
+    by ``gain`` and shift by ``bias`` (both of the trailing width).
+
+    The arithmetic is that of the composite ``(x - mean) / sqrt(var + eps)``
+    with the biased variance, recorded as one tape node.  The variance is
+    checked like an op output, so an overflow inside the op raises just as
+    the composite's intermediate ops would.
+    """
+    x, gain, bias = _ensure_tensor(x), _ensure_tensor(gain), _ensure_tensor(bias)
+    if x.ndim < 1 or gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
+        raise ShapeMismatchError(
+            f"layer_norm: incompatible shapes {x.shape}, {gain.shape} and {bias.shape}"
+        )
+    if not eps > 0.0:
+        raise DomainError(f"layer_norm: eps must be positive, got {eps}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x.data - x.data.mean(axis=-1, keepdims=True)
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+    _check_finite(var, "layer_norm")
+    std = np.sqrt(var + eps)
+    normed = centered / std
+    with np.errstate(over="ignore"):
+        out = normed * gain.data + bias.data
+
+    def bwd(g: np.ndarray):
+        g_normed = g * gain.data
+        gx = (
+            g_normed
+            - g_normed.mean(axis=-1, keepdims=True)
+            - normed * (g_normed * normed).mean(axis=-1, keepdims=True)
+        ) / std
+        lead = tuple(range(g.ndim - 1))
+        return gx, (g * normed).sum(axis=lead), g.sum(axis=lead)
+
+    return Tensor._from_op(out, "layer_norm", (x, gain, bias), bwd)
+
+
+def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
+    """Scalar ``sum_i sum(t_i * t_i)`` over several tensors as one tape node,
+    with the per-tensor sums added in the given order."""
+    tensors = tuple(_ensure_tensor(t) for t in tensors)
+    if not tensors:
+        raise DomainError("sum_of_squares: needs at least one tensor")
+    with np.errstate(over="ignore"):
+        total = sum((t.data * t.data).sum() for t in tensors)
+
+    def bwd(g: np.ndarray):
+        return tuple((2.0 * g) * t.data for t in tensors)
+
+    return Tensor._from_op(np.asarray(total), "sum_of_squares", tensors, bwd)
 
 
 # -- elementwise -------------------------------------------------------
@@ -358,11 +465,11 @@ def sqrt(x) -> Tensor:
 def sigmoid(x) -> Tensor:
     """Numerically stable logistic function; output lies in [0, 1]."""
     x = _ensure_tensor(x)
-    out = np.empty_like(x.data)
-    pos = x.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x)
+    # below; both are computed whole and selected elementwise, which is
+    # cheaper than gathering and scattering through boolean masks.
+    ex = np.exp(-np.abs(x.data))
+    out = np.where(x.data >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
     return Tensor._from_op(out, "sigmoid", (x,), lambda g: (g * out * (1.0 - out),))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from sst import metrics as M
 from sst import tensor as T
 from sst.data import Batch, label_counts
-from sst.model import SstConfig, SstModel
+from sst.model import SstConfig, SstModel, pair_probabilities
 from sst.tensor import NumericsError, Tensor
 
 logger = logging.getLogger("sst.training")
@@ -125,13 +125,9 @@ def weighted_multitask_loss(probs, labels, label_mask, tw: TaskWeights,
     else:
         total = T.reduce_sum(per_jt)
 
-    if l2_factor > 0.0:
-        penalty = None
-        for w in l2_params:
-            term = T.reduce_sum(w * w)
-            penalty = term if penalty is None else penalty + term
-        if penalty is not None:
-            total = total + T.scale(penalty, l2_factor)
+    l2_params = tuple(l2_params)
+    if l2_factor > 0.0 and l2_params:
+        total = total + T.scale(T.sum_of_squares(l2_params), l2_factor)
     return total
 
 
@@ -243,6 +239,18 @@ def evaluate_aucs(model: SstModel, batch: Batch):
     return M.task_aucs(probas.data, batch.labels.data, batch.label_mask.data)
 
 
+def _validate(model: SstModel, batch: Batch, tw: TaskWeights):
+    """``evaluate_loss`` and ``evaluate_aucs`` from one shared inference
+    forward pass, whose tape is freed when this returns."""
+    raw = model.forward(batch.x, batch.pad_mask.data, training=False)
+    loss = weighted_multitask_loss(
+        raw, batch.labels, batch.label_mask, tw,
+        model.config.uncertainty_weighting,
+    )
+    probas = pair_probabilities(raw)
+    return loss.item(), M.task_aucs(probas.data, batch.labels.data, batch.label_mask.data)
+
+
 def fit(model: SstModel, train: Batch, val: Batch, *,
         epochs_max: int | None = None, patience: int = 100,
         task_weights: TaskWeights | None = None) -> TrainReport:
@@ -306,7 +314,7 @@ def fit(model: SstModel, train: Batch, val: Batch, *,
                 loss.backward()
                 adam.step(learning_rate(sched, step))
                 epoch_loss += loss.item() * len(idx)
-            val_loss = evaluate_loss(model, val, tw)
+            val_loss, val_aucs = _validate(model, val, tw)
         except NumericsError as err:
             raise DivergenceError(
                 f"training diverged at epoch {epoch}, step {step}: {err}",
@@ -317,7 +325,7 @@ def fit(model: SstModel, train: Batch, val: Batch, *,
             epoch=epoch,
             train_loss=epoch_loss / n,
             val_loss=val_loss,
-            val_aucs=evaluate_aucs(model, val),
+            val_aucs=val_aucs,
         )
         report.epochs.append(record)
 
@@ -376,14 +384,15 @@ def grid_search(base: SstConfig, value_lists: dict[str, list],
                 progress=None) -> tuple[SstConfig, list[GridResult]]:
     """Train one model per grid point and pick the best mean validation
     AUC; ties keep the earliest point.  A failed point is recorded with
-    its error and the search continues.  `existing` rows (from a previous
-    partial run) are reused without retraining.
+    its error and the search continues.  An `existing` row (from a previous
+    partial run) is reused without retraining only when its stored values
+    equal the point at its index; any other row is retrained.
     """
     points = grid_points(value_lists)
     existing = existing or {}
     results: list[GridResult] = []
     for index, point in enumerate(points):
-        if index in existing:
+        if index in existing and existing[index].values == point:
             results.append(existing[index])
             continue
         overrides = {k: v for k, v in point.items() if k not in GRID_ONLY_KEYS}

@@ -188,6 +188,20 @@ class TestGrid:
         assert "resuming: 2 completed points found" in text
         assert (out / "grid_results.csv").read_text() == first
 
+    def test_resume_retrains_rows_of_other_points(self, dataset, tmp_path):
+        """A stored row is reused only for the point it was trained on: a
+        resumed grid over new values must not report the old point."""
+        out = tmp_path / "g"
+        for lr_factor, extra in ((0.5, []), (0.001, ["--resume"])):
+            cfg = config_file(tmp_path, lr_factor=[lr_factor])
+            assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),
+                        "--epochs-max", "1", "--out", str(out)] + extra) == 0
+        best = json.loads((out / "best_config.json").read_text())
+        assert best["lr_factor"] == 0.001
+        with open(out / "grid_results.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert json.loads(rows[1][1]) == {"lr_factor": 0.001}
+
     def test_no_value_lists_exits_2(self, dataset, tmp_path):
         cfg = config_file(tmp_path)
         assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),

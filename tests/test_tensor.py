@@ -1,5 +1,7 @@
 """Autodiff core: forward oracles, gradient checks, error contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,9 +133,16 @@ def _anywhere(shape, rng):
     return rng.normal(size=shape)
 
 
+def _squared_sum(t):
+    return (t * t).sum()
+
+
 # (name, scalar-valued fn of one tensor, domain-safe input maker)
 GRAD_CASES = [
     ("matmul", lambda x: T.matmul(x, T.transpose(x)).sum(), _anywhere),
+    ("linear", lambda x: _squared_sum(T.linear(x, T.transpose(x), x[:, 0])), _anywhere),
+    ("layer_norm", lambda x: (T.layer_norm(x, x[0], x[1], 1e-9) * x).sum(), _anywhere),
+    ("sum_of_squares", lambda x: T.sum_of_squares([x, x[0], T.scale(x, 3.0)]), _anywhere),
     ("add", lambda x: (x + 2.0 * x).sum(), _anywhere),
     ("sub", lambda x: (x - 0.5 * x).sum(), _anywhere),
     ("mul", lambda x: (x * x).sum(), _anywhere),
@@ -169,6 +178,67 @@ class TestGradCheck:
         covered = {c[0] for c in GRAD_CASES}
         assert covered == set(T.OPS)
 
+    def test_matmul_flattens_leading_axes(self):
+        """A 3-D @ 2-D product runs as one 2-D GEMM; check its values and
+        both gradients, and those of linear, through that path.  The 2-D
+        grad case takes that path too, so the batched 3-D @ 3-D path is
+        checked here as well."""
+        rng = np.random.default_rng(RNG_SEED)
+        a = rng.normal(size=(2, 3, 4))
+        w = rng.normal(size=(4, 5))
+        b = rng.normal(size=(5,))
+        batched = rng.normal(size=(2, 4, 5))
+        assert grad_check(lambda x: _squared_sum(T.matmul(x, Tensor(batched))), Tensor(a)) < 1e-6
+        assert grad_check(lambda x: _squared_sum(T.matmul(Tensor(a), x)), Tensor(batched)) < 1e-6
+        np.testing.assert_allclose(
+            T.matmul(Tensor(a), Tensor(w)).data, np.matmul(a, w), rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            T.linear(Tensor(a), Tensor(w), Tensor(b)).data, np.matmul(a, w) + b, rtol=1e-12
+        )
+        assert grad_check(lambda x: _squared_sum(T.matmul(x, Tensor(w))), Tensor(a)) < 1e-6
+        assert grad_check(lambda x: _squared_sum(T.matmul(Tensor(a), x)), Tensor(w)) < 1e-6
+        assert grad_check(
+            lambda x: _squared_sum(T.linear(Tensor(a), Tensor(w), x)), Tensor(b)
+        ) < 1e-6
+
+    def test_layer_norm_matches_composite(self):
+        """The fused op against the composite expression it replaces, values
+        and all three gradients, on a batched input."""
+        rng = np.random.default_rng(RNG_SEED)
+        x_data = rng.normal(size=(3, 2, 5))
+        gain_data = rng.normal(size=5)
+        bias_data = rng.normal(size=5)
+        upstream = Tensor(rng.normal(size=(3, 2, 5)))
+        eps = 1e-9
+
+        def composite(x, gain, bias):
+            mean = x.mean(axis=-1, keepdims=True)
+            centered = x - mean
+            var = (centered * centered).mean(axis=-1, keepdims=True)
+            return centered / T.sqrt(var + eps) * gain + bias
+
+        results = []
+        for fn in (composite, lambda x, g, b: T.layer_norm(x, g, b, eps)):
+            args = [Tensor(d.copy(), requires_grad=True) for d in (x_data, gain_data, bias_data)]
+            out = fn(*args)
+            (out * upstream).sum().backward()
+            results.append([out.data] + [a.grad for a in args])
+        for ref, fused in zip(*results):
+            np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
+
+    def test_sum_of_squares_matches_composite(self):
+        """The fused penalty adds the per-tensor sums in order, so its value
+        equals the chain of mul, sum and add nodes it replaces bit for bit."""
+        rng = np.random.default_rng(RNG_SEED)
+        tensors = [Tensor(rng.normal(size=shape)) for shape in ((4, 3), (5,), (2, 3, 2))]
+        composite = (tensors[0] * tensors[0]).sum()
+        for t in tensors[1:]:
+            composite = composite + (t * t).sum()
+        assert T.sum_of_squares(tensors).item() == composite.item()
+        with pytest.raises(DomainError):
+            T.sum_of_squares([])
+
     def test_composite_expression(self):
         rng = np.random.default_rng(RNG_SEED)
         w = Tensor(rng.normal(size=(4, 4)))
@@ -200,6 +270,21 @@ class TestErrorContracts:
     def test_overflow_names_op(self):
         with pytest.raises(NumericsError, match="exp"):
             T.exp(Tensor([1000.0]))
+
+    def test_finite_check_overflowing_sum_passes_silently(self):
+        """[1e308, 1e308] sums to inf although both elements are finite."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.scale(Tensor([1e308, 1e308]), 1.0)
+        np.testing.assert_array_equal(out.data, [1e308, 1e308])
+
+    def test_finite_check_opposite_infinities_name_op(self):
+        with pytest.raises(NumericsError, match="'probe'"):
+            T._check_finite(np.array([np.inf, -np.inf]), "probe")
+
+    def test_finite_check_lone_nan_names_op(self):
+        with pytest.raises(NumericsError, match="'probe'"):
+            T._check_finite(np.array([1.0, np.nan, 2.0]), "probe")
 
     def test_nan_input_rejected_at_construction(self):
         with pytest.raises(NumericsError):

@@ -18,6 +18,7 @@ from sst.training import (
     LrSchedule,
     TaskWeights,
     class_weights,
+    evaluate_aucs,
     evaluate_loss,
     fit,
     grid_points,
@@ -317,6 +318,18 @@ class TestFit:
         tw = TaskWeights.from_counts(counts, 2)
         report = fit(model, data.train, data.val, epochs_max=12, task_weights=tw)
         assert evaluate_loss(model, data.val, tw) == report.best_val_loss
+
+    def test_epoch_record_matches_standalone_evaluation(self):
+        """fit validates from one shared forward pass; its record must equal
+        evaluate_loss and evaluate_aucs bit for bit."""
+        data = small_data()
+        model = SstModel(small_config())
+        counts = label_counts(data.train.labels.data, data.train.label_mask.data)
+        tw = TaskWeights.from_counts(counts, 2)
+        report = fit(model, data.train, data.val, epochs_max=1, task_weights=tw)
+        record = report.epochs[0]
+        assert record.val_loss == evaluate_loss(model, data.val, tw)
+        assert record.val_aucs == evaluate_aucs(model, data.val)
 
     def test_patience_bound(self):
         data = small_data()
