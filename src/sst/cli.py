@@ -32,6 +32,7 @@ from sst.metrics import (
     roc_to_csv,
     task_aucs,
 )
+from sst.fileio import atomic_write
 from sst.model import SstConfig, SstModel, load_weights, save_weights
 from sst.training import DivergenceError, GridResult, fit, grid_points, grid_search
 
@@ -43,6 +44,7 @@ TRAIN_LOG_NAME = "train_log.csv"
 GRID_RESULTS_NAME = "grid_results.csv"
 BEST_CONFIG_NAME = "best_config.json"
 REPORT_NAME = "report.csv"
+GRID_COLUMNS = ["index", "values", "mean_val_auc", "seconds", "error", "fingerprint"]
 
 
 # -- shared plumbing ---------------------------------------------------
@@ -168,9 +170,9 @@ def cmd_train(args) -> int:
 
 
 def _write_grid_csv(path, results: list[GridResult]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["index", "values", "mean_val_auc", "seconds", "error"])
+        writer.writerow(GRID_COLUMNS)
         for res in results:
             writer.writerow([
                 res.index,
@@ -178,19 +180,26 @@ def _write_grid_csv(path, results: list[GridResult]) -> None:
                 repr(res.mean_val_auc),
                 repr(res.seconds),
                 res.error,
+                res.fingerprint,
             ])
 
 
 def _read_grid_csv(path) -> dict[int, GridResult]:
+    """Rows of a results CSV.  A file from before the fingerprint column
+    still loads; its rows carry an empty fingerprint, so none is reused."""
     out = {}
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["index", "values", "mean_val_auc", "seconds", "error"]:
+    if not rows or rows[0] not in (GRID_COLUMNS, GRID_COLUMNS[:-1]):
         raise ValueError(f"{path}: not a grid results CSV")
-    for row in rows[1:]:
-        index = int(row[0])
-        out[index] = GridResult(index, json.loads(row[1]), float(row[2]),
-                                float(row[3]), row[4])
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            index = int(row[0])
+            fingerprint = row[5] if len(row) > 5 else ""
+            out[index] = GridResult(index, json.loads(row[1]), float(row[2]),
+                                    float(row[3]), row[4], fingerprint)
+        except (IndexError, ValueError) as err:
+            raise ValueError(f"{path}: malformed row on line {line}: {err}") from err
     return out
 
 
@@ -234,7 +243,7 @@ def cmd_grid(args) -> int:
     )
     _write_grid_csv(results_path, results)
     best_path = out / BEST_CONFIG_NAME
-    with open(best_path, "w", encoding="utf-8") as fh:
+    with atomic_write(best_path, "w", encoding="utf-8") as fh:
         fh.write(best.to_json() + "\n")
     print(f"wrote {results_path} and {best_path}")
     return 0

@@ -10,7 +10,10 @@ projection weights only, never biases or normalization gains.
 
 Dense layers and layer normalization run as the fused ``tensor.linear`` and
 ``tensor.layer_norm`` ops, one tape node each (plus one for a dense layer's
-activation) with hand-written backward passes.
+activation) with hand-written backward passes.  Multi-head attention is the
+three input projections, the fused ``tensor.attention`` op (head split,
+scaled scores, key padding penalty, softmax, weighted values and head merge
+in one node) and the output projection: five tape nodes in all.
 """
 
 from __future__ import annotations
@@ -114,12 +117,6 @@ class MultiHeadAttention:
         self.w_v = Tensor(glorot_uniform(dmodel, dmodel, rng), requires_grad=True)
         self.w_o = Tensor(glorot_uniform(dmodel, dmodel, rng), requires_grad=True)
 
-    def _split_heads(self, x: Tensor, batch: int, length: int) -> Tensor:
-        # [B, T, dmodel] -> [B, h, T, d_k]
-        return T.transpose(
-            x.reshape(batch, length, self.n_heads, self.d_k), (0, 2, 1, 3)
-        )
-
     def __call__(self, x: Tensor, pad_mask: np.ndarray, return_weights: bool = False):
         if x.ndim != 3 or x.shape[-1] != self.dmodel:
             raise ShapeMismatchError(
@@ -132,21 +129,13 @@ class MultiHeadAttention:
                 f"pad_mask shape {pad_mask.shape} does not match batch ({batch}, {length})"
             )
 
-        q = self._split_heads(x @ self.w_q, batch, length)
-        k = self._split_heads(x @ self.w_k, batch, length)
-        v = self._split_heads(x @ self.w_v, batch, length)
-
-        scores = T.scale(q @ T.transpose(k, (0, 1, 3, 2)), 1.0 / math.sqrt(self.d_k))
         # padded keys get a -1e9 logit so softmax assigns them exactly zero
-        penalty = (pad_mask * MASK_LOGIT)[:, None, None, :]
-        weights = T.softmax(scores + Tensor(penalty), axis=-1)
-
-        context = weights @ v  # [B, h, T, d_k]
-        merged = T.transpose(context, (0, 2, 1, 3)).reshape(batch, length, self.dmodel)
-        out = merged @ self.w_o
+        result = T.attention(x @ self.w_q, x @ self.w_k, x @ self.w_v,
+                             pad_mask * MASK_LOGIT, self.n_heads, return_weights)
         if return_weights:
-            return out, weights.data.copy()
-        return out
+            context, weights = result
+            return context @ self.w_o, weights
+        return result @ self.w_o
 
     def parameters(self):
         return [

@@ -18,6 +18,7 @@ import numpy as np
 
 from sst import layers as L
 from sst import tensor as T
+from sst.fileio import atomic_write
 from sst.tensor import ShapeMismatchError, Tensor
 
 CHECKPOINT_MAGIC = b"SSTCKPT"
@@ -144,8 +145,10 @@ class SstModel:
     def predict_proba(self, x, pad_mask) -> Tensor:
         """Per-task positive probability: each (negative, positive) head pair
         is normalized as pos / (pos + neg).  Sigmoid outputs are strictly
-        positive so the ratio is always defined."""
-        return pair_probabilities(self.forward(x, pad_mask, training=False))
+        positive so the ratio is always defined.  Runs without a tape, so
+        the result has no parents and no intermediate outlives the call."""
+        with T.no_grad():
+            return pair_probabilities(self.forward(x, pad_mask, training=False))
 
     # -- parameter bookkeeping -----------------------------------------
 
@@ -186,8 +189,10 @@ class SstModel:
 
 
 def save_weights(model: SstModel, path) -> None:
+    """Write a checkpoint; an interrupted write leaves any previous file at
+    ``path`` intact."""
     config_bytes = model.config.to_json().encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(bytes([CHECKPOINT_VERSION]))
         fh.write(len(config_bytes).to_bytes(8, "little"))

@@ -3,28 +3,37 @@
 Every operation builds a dynamic tape: the output tensor records its parents
 and a closure that maps the output gradient to parent gradients.  Calling
 ``backward`` on a scalar walks the tape in reverse topological order and
-accumulates gradients additively into every ``requires_grad`` tensor it
-reaches.  Accumulation is deliberate: two backward passes over the same graph
-double the gradients, so callers zero grads between optimizer steps.
+accumulates gradients additively into the ``grad`` of every leaf it reaches:
+a ``requires_grad`` tensor made by the caller rather than by an op, such as
+a parameter.  Intermediate op outputs pass their gradients on and keep none.
+Accumulation is deliberate: two backward passes over the same graph double
+the gradients, so callers zero grads between optimizer steps.
+
+Inside a ``with no_grad():`` block ops record no tape: their outputs have no
+parents and no backward closure, so intermediates are freed as soon as
+nothing refers to them.  Inference runs this way.
 
 All values are 64-bit floats in row-major order.  Broadcasting follows the
 conventional trailing-dimension alignment.  Any op that produces a NaN or Inf
-raises :class:`NumericsError` immediately, naming the op; silent propagation
-would poison every downstream result.  The check is exact but cheap: it sums
-the array first, and a finite sum proves every element finite; only a
-non-finite sum (a NaN or Inf, or a sum that merely overflows) pays for the
-elementwise test.
+raises :class:`NumericsError` immediately, naming the op, with or without a
+tape; silent propagation would poison every downstream result.  The check is
+exact but cheap: it sums the array first, and a finite sum proves every
+element finite; only a non-finite sum (a NaN or Inf, or a sum that merely
+overflows) pays for the elementwise test.
 
 A matmul of a batched ``a [.., M, K]`` by a 2-D ``b [K, N]`` runs forward and
 backward as single 2-D GEMMs over ``a``'s flattened leading axes, so the
-weight gradient is one ``[K, N]`` product.  Three fused ops each record one tape node with a hand-written
-backward in place of a chain of elementwise nodes: ``linear`` (``x @ w + b``),
-``layer_norm`` (normalize the trailing axis, then scale and shift) and
-``sum_of_squares`` (the L2 penalty over a list of weight tensors).
+weight gradient is one ``[K, N]`` product.  Four fused ops each record one
+tape node with a hand-written backward in place of a chain of elementwise
+nodes: ``linear`` (``x @ w + b``), ``layer_norm`` (normalize the trailing
+axis, then scale and shift), ``sum_of_squares`` (the L2 penalty over a list
+of weight tensors) and ``attention`` (multi-head scaled dot-product
+attention from the query, key and value projections to the merged context).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -40,6 +49,7 @@ __all__ = [
     "linear",
     "layer_norm",
     "sum_of_squares",
+    "attention",
     "add",
     "sub",
     "mul",
@@ -61,6 +71,7 @@ __all__ = [
     "reshape",
     "transpose",
     "backward",
+    "no_grad",
     "grad_check",
 ]
 
@@ -84,6 +95,7 @@ OPS = (
     "linear",
     "layer_norm",
     "sum_of_squares",
+    "attention",
     "add",
     "sub",
     "mul",
@@ -106,6 +118,26 @@ OPS = (
     "transpose",
     "getitem",
 )
+
+
+# False inside ``no_grad``: ops then record no tape.
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the ops in the block without recording a tape.  Their outputs
+    have no parents and no backward closure, so ``backward`` cannot reach
+    through them; the finiteness check still runs on every output.  The
+    previous setting is restored on exit, exceptions included.  The
+    setting is one module flag, shared by every thread of the process."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -152,7 +184,7 @@ class Tensor:
         _check_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = np.ascontiguousarray(data, dtype=np.float64)
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
         out.grad = None
         if out.requires_grad:
             out._op = op
@@ -367,6 +399,75 @@ def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
         return tuple((2.0 * g) * t.data for t in tensors)
 
     return Tensor._from_op(np.asarray(total), "sum_of_squares", tensors, bwd)
+
+
+def attention(q, k, v, penalty, n_heads: int, return_weights: bool = False):
+    """Multi-head scaled dot-product attention as one tape node.
+
+    ``q``, ``k`` and ``v`` are ``[B, T, D]`` projections whose trailing axis
+    holds ``n_heads`` heads of width ``d_k = D / n_heads`` side by side.
+    Per head the op computes ``softmax(q kᵀ / sqrt(d_k) + penalty) v``,
+    where ``penalty [B, T]`` is a constant logit added to every query's
+    score for that key (a large negative value masks a padded key), and
+    returns the heads merged back into ``[B, T, D]``.  With
+    ``return_weights`` it also returns a copy of the ``[B, h, T, T]``
+    softmax weights.
+
+    The arithmetic is that of the composite of split-head transposes,
+    batched matmuls, scale, add and softmax it replaces, in the same order,
+    so values match it bit for bit.  The scaled scores are checked like an
+    op output.  Backward keeps only the head-split inputs and the weights.
+    """
+    q, k, v = _ensure_tensor(q), _ensure_tensor(k), _ensure_tensor(v)
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % n_heads:
+        raise ShapeMismatchError(
+            f"attention: incompatible shapes {q.shape}, {k.shape} and {v.shape} "
+            f"for {n_heads} heads"
+        )
+    batch, length, width = q.shape
+    penalty = np.asarray(penalty, dtype=np.float64)
+    if penalty.shape != (batch, length):
+        raise ShapeMismatchError(
+            f"attention: penalty shape {penalty.shape} does not match ({batch}, {length})"
+        )
+    d_k = width // n_heads
+    c = 1.0 / math.sqrt(d_k)
+
+    def split(t: Tensor) -> np.ndarray:  # [B, T, D] -> [B, h, T, d_k]
+        return np.ascontiguousarray(
+            t.data.reshape(batch, length, n_heads, d_k).transpose(0, 2, 1, 3)
+        )
+
+    def merge(a: np.ndarray) -> np.ndarray:  # [B, h, T, d_k] -> [B, T, D]
+        return a.transpose(0, 2, 1, 3).reshape(batch, length, width)
+
+    q4, v4 = split(q), split(v)
+    # k is kept as the contiguous [B, h, d_k, T] operand that q @ kᵀ reads
+    k4t = np.ascontiguousarray(
+        k.data.reshape(batch, length, n_heads, d_k).transpose(0, 2, 3, 1)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.matmul(q4, k4t)
+        w *= c
+    _check_finite(w, "attention")
+    w += penalty[:, None, None, :]
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    out = merge(np.matmul(w, v4))
+
+    def bwd(g: np.ndarray):
+        gc = g.reshape(batch, length, n_heads, d_k).transpose(0, 2, 1, 3)
+        gw = np.matmul(gc, v4.transpose(0, 1, 3, 2))
+        gv = np.matmul(w.transpose(0, 1, 3, 2), gc)
+        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+        gs *= c
+        gq = np.matmul(gs, k4t.transpose(0, 1, 3, 2))
+        gk = np.matmul(q4.transpose(0, 1, 3, 2), gs).transpose(0, 1, 3, 2)
+        return merge(gq), merge(gk), merge(gv)
+
+    result = Tensor._from_op(out, "attention", (q, k, v), bwd)
+    return (result, w.copy()) if return_weights else result
 
 
 # -- elementwise -------------------------------------------------------
@@ -625,7 +726,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad tensor.
+    """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf ``t`` the
+    tape reaches: a requires_grad tensor that no op produced, such as a
+    parameter.  Op outputs hand their gradients to their parents and keep
+    none, so their ``grad`` stays ``None``.
 
     ``loss`` must be scalar.  Gradients add onto whatever is already stored,
     so a second backward over the same graph doubles them; callers reset
@@ -641,9 +745,8 @@ def backward(loss: Tensor) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
         if node._bwd is None:
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         parent_grads = node._bwd(g)
         for parent, pg in zip(node._parents, parent_grads):

@@ -13,6 +13,7 @@ biases or norm gains) is added when l2_factor > 0.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import logging
 import time
@@ -23,6 +24,7 @@ import numpy as np
 from sst import metrics as M
 from sst import tensor as T
 from sst.data import Batch, label_counts
+from sst.fileio import atomic_write
 from sst.model import SstConfig, SstModel, pair_probabilities
 from sst.tensor import NumericsError, Tensor
 
@@ -207,11 +209,10 @@ class TrainReport:
 
     def to_csv(self, path) -> None:
         """Columns: epoch, train_loss, val_loss, then auc_task_<j> per
-        task; undefined AUCs are empty fields."""
-        import csv
-
+        task; undefined AUCs are empty fields.  The file is replaced
+        atomically."""
         n_tasks = len(self.epochs[0].val_aucs) if self.epochs else 0
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["epoch", "train_loss", "val_loss"]
@@ -225,12 +226,14 @@ class TrainReport:
 
 
 def evaluate_loss(model: SstModel, batch: Batch, tw: TaskWeights) -> float:
-    """Objective on a split in inference mode, without the L2 term."""
-    probs = model.forward(batch.x, batch.pad_mask.data, training=False)
-    loss = weighted_multitask_loss(
-        probs, batch.labels, batch.label_mask, tw,
-        model.config.uncertainty_weighting,
-    )
+    """Objective on a split in inference mode, without the L2 term and
+    without a tape."""
+    with T.no_grad():
+        probs = model.forward(batch.x, batch.pad_mask.data, training=False)
+        loss = weighted_multitask_loss(
+            probs, batch.labels, batch.label_mask, tw,
+            model.config.uncertainty_weighting,
+        )
     return loss.item()
 
 
@@ -241,13 +244,14 @@ def evaluate_aucs(model: SstModel, batch: Batch):
 
 def _validate(model: SstModel, batch: Batch, tw: TaskWeights):
     """``evaluate_loss`` and ``evaluate_aucs`` from one shared inference
-    forward pass, whose tape is freed when this returns."""
-    raw = model.forward(batch.x, batch.pad_mask.data, training=False)
-    loss = weighted_multitask_loss(
-        raw, batch.labels, batch.label_mask, tw,
-        model.config.uncertainty_weighting,
-    )
-    probas = pair_probabilities(raw)
+    forward pass, run without a tape."""
+    with T.no_grad():
+        raw = model.forward(batch.x, batch.pad_mask.data, training=False)
+        loss = weighted_multitask_loss(
+            raw, batch.labels, batch.label_mask, tw,
+            model.config.uncertainty_weighting,
+        )
+        probas = pair_probabilities(raw)
     return loss.item(), M.task_aucs(probas.data, batch.labels.data, batch.label_mask.data)
 
 
@@ -357,6 +361,7 @@ class GridResult:
     mean_val_auc: float
     seconds: float
     error: str = ""
+    fingerprint: str = ""  # grid_fingerprint of the run that produced it
 
 
 def grid_points(value_lists: dict[str, list]) -> list[dict]:
@@ -373,6 +378,22 @@ def grid_points(value_lists: dict[str, list]) -> list[dict]:
     return [dict(zip(keys, combo)) for combo in itertools.product(*value_lists.values())]
 
 
+def grid_fingerprint(base: SstConfig, train: Batch, val: Batch, *,
+                     epochs_max: int | None = None, patience: int = 100) -> str:
+    """sha256 over what a grid point's result depends on besides its own
+    values: the base config's canonical JSON, the search-wide epoch cap and
+    patience, and the shape and bytes of every train and val array."""
+    import hashlib  # only grid search needs it; it costs ~5 ms of import time
+
+    h = hashlib.sha256(base.to_json().encode("utf-8"))
+    h.update(repr((epochs_max, patience)).encode("utf-8"))
+    for batch in (train, val):
+        for t in (batch.x, batch.pad_mask, batch.labels, batch.label_mask):
+            h.update(repr(t.shape).encode("utf-8"))
+            h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
 def derive_point_seed(base_seed: int, index: int) -> int:
     return int(np.random.default_rng([base_seed, 2, index]).integers(0, 2**31))
 
@@ -386,14 +407,17 @@ def grid_search(base: SstConfig, value_lists: dict[str, list],
     AUC; ties keep the earliest point.  A failed point is recorded with
     its error and the search continues.  An `existing` row (from a previous
     partial run) is reused without retraining only when its stored values
-    equal the point at its index; any other row is retrained.
+    equal the point at its index and its fingerprint equals this search's
+    ``grid_fingerprint``; any other row is retrained.
     """
     points = grid_points(value_lists)
     existing = existing or {}
+    fingerprint = grid_fingerprint(base, train, val, epochs_max=epochs_max, patience=patience)
     results: list[GridResult] = []
     for index, point in enumerate(points):
-        if index in existing and existing[index].values == point:
-            results.append(existing[index])
+        stored = existing.get(index)
+        if stored is not None and stored.values == point and stored.fingerprint == fingerprint:
+            results.append(stored)
             continue
         overrides = {k: v for k, v in point.items() if k not in GRID_ONLY_KEYS}
         point_epochs = point.get("epochs_max", epochs_max)
@@ -405,10 +429,12 @@ def grid_search(base: SstConfig, value_lists: dict[str, list],
             aucs = [a for a in evaluate_aucs(model, val) if a is not None]
             mean_auc = float(np.mean(aucs)) if aucs else float("nan")
             results.append(GridResult(index, point, mean_auc,
-                                      time.monotonic() - started))
+                                      time.monotonic() - started,
+                                      fingerprint=fingerprint))
         except (ValueError, ArithmeticError) as err:
             results.append(GridResult(index, point, float("nan"),
-                                      time.monotonic() - started, error=str(err)))
+                                      time.monotonic() - started, error=str(err),
+                                      fingerprint=fingerprint))
         if progress is not None:
             progress(results[-1])
 

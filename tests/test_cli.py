@@ -202,6 +202,54 @@ class TestGrid:
             rows = list(csv.reader(fh))
         assert json.loads(rows[1][1]) == {"lr_factor": 0.001}
 
+    def test_resume_retrains_under_a_changed_base_config(self, dataset, tmp_path, capsys):
+        """Same values, other base config: the stored row describes another
+        model, so the point is trained again."""
+        out = tmp_path / "g"
+        fingerprints = []
+        for dmodel, extra in ((16, []), (8, ["--resume"])):
+            cfg = config_file(tmp_path, dmodel=dmodel, lr_factor=[0.5])
+            capsys.readouterr()
+            assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),
+                        "--epochs-max", "1", "--out", str(out)] + extra) == 0
+            assert "point 1/1 mean val AUC" in capsys.readouterr().out
+            with open(out / "grid_results.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            fingerprints.append(rows[1][-1])
+        assert rows[0][-1] == "fingerprint"
+        assert fingerprints[0] != fingerprints[1]
+        assert json.loads((out / "best_config.json").read_text())["dmodel"] == 8
+
+    def test_resume_reads_a_csv_without_fingerprints(self, dataset, tmp_path, capsys):
+        """A results file from before the fingerprint column loads, but its
+        rows are not trusted: every point is retrained."""
+        cfg = config_file(tmp_path, epochs_max=[1])
+        out = tmp_path / "g"
+        out.mkdir()
+        (out / "grid_results.csv").write_text(
+            "index,values,mean_val_auc,seconds,error\n"
+            '0,"{""epochs_max"": 1}",0.99,1.0,\n'
+        )
+        assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),
+                    "--resume", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "resuming: 1 completed points found" in text
+        assert "point 1/1 mean val AUC" in text
+        with open(out / "grid_results.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert float(rows[1][2]) != 0.99 and len(rows[1][-1]) == 64
+
+    def test_resume_from_a_malformed_csv_exits_2(self, dataset, tmp_path, capsys):
+        cfg = config_file(tmp_path, epochs_max=[1])
+        out = tmp_path / "g"
+        out.mkdir()
+        (out / "grid_results.csv").write_text(
+            "index,values,mean_val_auc,seconds,error,fingerprint\n0,{}\n"
+        )
+        assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),
+                    "--resume", "--out", str(out)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_no_value_lists_exits_2(self, dataset, tmp_path):
         cfg = config_file(tmp_path)
         assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),

@@ -11,6 +11,7 @@ from sst.model import (
     SstConfig,
     SstModel,
     load_weights,
+    pair_probabilities,
     save_weights,
 )
 from sst.tensor import Tensor, grad_check
@@ -153,6 +154,20 @@ class TestPredictProba:
         assert p.shape == (6, 2)
         assert np.all((p > 0) & (p < 1))
 
+    def test_runs_without_a_tape(self):
+        """The tape-free result has no parents and equals, bit for bit, the
+        same computation recorded on a tape."""
+        model = tiny_model(n_layers=2)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(5, 4, 5))
+        mask = np.zeros((5, 4))
+        mask[2, 3] = 1.0
+        p = model.predict_proba(x, mask)
+        taped = pair_probabilities(model.forward(x, mask))
+        assert p._parents == () and not p.requires_grad
+        assert taped._parents != ()
+        np.testing.assert_array_equal(p.data, taped.data)
+
 
 class TestPaddingInvariance:
     def test_appended_padded_timestep_is_inert(self):
@@ -207,6 +222,25 @@ class TestCheckpoint:
         wrong = SstConfig(**{**TINY, "n_features": 9})
         with pytest.raises(CheckpointError, match="n_features.*expected 9.*found 5"):
             load_weights(path, expect=wrong)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        """A write that dies partway leaves the old checkpoint byte-identical
+        and no temporary file behind."""
+        path = tmp_path / "m.sst"
+        save_weights(tiny_model(seed=0), path)
+        before = path.read_bytes()
+        model = tiny_model(seed=1)
+        params = model.parameters()
+
+        def failing_parameters():
+            yield from params[:3]
+            raise OSError("disk full")
+
+        model.parameters = failing_parameters
+        with pytest.raises(OSError, match="disk full"):
+            save_weights(model, path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["m.sst"]
 
     def test_truncated_file_rejected(self, tmp_path):
         model = tiny_model()

@@ -1,5 +1,6 @@
 """Autodiff core: forward oracles, gradient checks, error contracts."""
 
+import math
 import warnings
 
 import numpy as np
@@ -120,6 +121,44 @@ class TestGradients:
         assert x.grad is None
         np.testing.assert_array_equal(y.grad, [1.0, 2.0])
 
+    def test_only_leaves_keep_grads(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        y = x * x
+        y.sum().backward()
+        assert y.grad is None
+        np.testing.assert_array_equal(x.grad, [2.0, -4.0])
+
+
+class TestNoGrad:
+    def test_ops_record_no_tape_inside_the_block(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with T.no_grad():
+            y = T.exp(x * x)
+        assert not y.requires_grad and y._parents == () and y._bwd is None
+        np.testing.assert_array_equal(y.data, np.exp([1.0, 4.0]))
+        z = x * x
+        assert z.requires_grad and z._parents == (x, x)
+
+    def test_flag_restored_after_an_exception(self):
+        """The finiteness check still runs without a tape, and the error it
+        raises leaves the tape switched back on."""
+        x = Tensor([1000.0], requires_grad=True)
+        with pytest.raises(NumericsError, match="exp"):
+            with T.no_grad():
+                T.exp(x)
+        y = T.scale(x, 2.0)
+        assert y.requires_grad and y._parents == (x,)
+        y.sum().backward()
+        np.testing.assert_array_equal(x.grad, [2.0])
+
+    def test_nested_blocks_restore_the_outer_setting(self):
+        x = Tensor([1.0], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not (x * x).requires_grad
+        assert (x * x).requires_grad
+
 
 def _unit_interval(shape, rng):
     return rng.uniform(0.05, 0.95, size=shape)
@@ -137,12 +176,31 @@ def _squared_sum(t):
     return (t * t).sum()
 
 
+# Fixed query, key and value inputs for the attention grad cases: B=1, T=3,
+# D=4 (two heads of width 2), with the last key padded.
+_ATTN_QKV = np.random.default_rng(RNG_SEED + 1).normal(size=(3, 1, 3, 4))
+_ATTN_PENALTY = np.array([[0.0, 0.0, -1e9]])
+
+
+def _attention_case(slot):
+    """Attention differentiated through one of q (0), k (1) or v (2); the
+    [3, 4] probe becomes that input's [1, 3, 4]."""
+    def fn(x):
+        qkv = [Tensor(a) for a in _ATTN_QKV]
+        qkv[slot] = x.reshape(1, 3, 4)
+        return _squared_sum(T.attention(*qkv, _ATTN_PENALTY, 2))
+    return fn
+
+
 # (name, scalar-valued fn of one tensor, domain-safe input maker)
 GRAD_CASES = [
     ("matmul", lambda x: T.matmul(x, T.transpose(x)).sum(), _anywhere),
     ("linear", lambda x: _squared_sum(T.linear(x, T.transpose(x), x[:, 0])), _anywhere),
     ("layer_norm", lambda x: (T.layer_norm(x, x[0], x[1], 1e-9) * x).sum(), _anywhere),
     ("sum_of_squares", lambda x: T.sum_of_squares([x, x[0], T.scale(x, 3.0)]), _anywhere),
+    ("attention", _attention_case(0), _anywhere),
+    ("attention", _attention_case(1), _anywhere),
+    ("attention", _attention_case(2), _anywhere),
     ("add", lambda x: (x + 2.0 * x).sum(), _anywhere),
     ("sub", lambda x: (x - 0.5 * x).sum(), _anywhere),
     ("mul", lambda x: (x * x).sum(), _anywhere),
@@ -239,6 +297,45 @@ class TestGradCheck:
         with pytest.raises(DomainError):
             T.sum_of_squares([])
 
+    def test_attention_matches_composite(self):
+        """The fused op against the chain of split-head transposes, matmuls,
+        scale, add and softmax it replaces, with one padded key: values and
+        weights bit for bit, all three gradients within 1e-12."""
+        rng = np.random.default_rng(RNG_SEED)
+        batch, length, width, heads = 3, 5, 8, 2
+        d_k = width // heads
+        qkv_data = rng.normal(size=(3, batch, length, width))
+        pad = np.zeros((batch, length))
+        pad[1, -1] = 1.0
+        penalty = pad * -1e9
+        upstream = Tensor(rng.normal(size=(batch, length, width)))
+
+        def split(t):
+            return T.transpose(t.reshape(batch, length, heads, d_k), (0, 2, 1, 3))
+
+        def composite(q, k, v):
+            scores = T.scale(split(q) @ T.transpose(split(k), (0, 1, 3, 2)),
+                             1.0 / math.sqrt(d_k))
+            weights = T.softmax(scores + Tensor(penalty[:, None, None, :]), axis=-1)
+            context = T.transpose(weights @ split(v), (0, 2, 1, 3))
+            return context.reshape(batch, length, width), weights.data
+
+        def fused(q, k, v):
+            return T.attention(q, k, v, penalty, heads, return_weights=True)
+
+        results = []
+        for fn in (composite, fused):
+            args = [Tensor(d.copy(), requires_grad=True) for d in qkv_data]
+            out, weights = fn(*args)
+            (out * upstream).sum().backward()
+            results.append((out.data, weights, [a.grad for a in args]))
+        (ref_out, ref_w, ref_grads), (out, w, grads) = results
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(w, ref_w)
+        assert np.all(w[1, :, :, -1] == 0.0)
+        for ref, got in zip(ref_grads, grads):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
     def test_composite_expression(self):
         rng = np.random.default_rng(RNG_SEED)
         w = Tensor(rng.normal(size=(4, 4)))
@@ -270,6 +367,23 @@ class TestErrorContracts:
     def test_overflow_names_op(self):
         with pytest.raises(NumericsError, match="exp"):
             T.exp(Tensor([1000.0]))
+
+    def test_attention_score_overflow_names_op(self):
+        """A score of -1e400 overflows to -inf, which softmax would quietly
+        turn into a zero weight and a finite output; the op must refuse it
+        by name."""
+        q = Tensor(np.full((1, 2, 1), 1e200))
+        k = Tensor(np.array([[[-1e200], [1e-300]]]))
+        v = Tensor(np.array([[[1.0], [2.0]]]))
+        with pytest.raises(NumericsError, match="'attention'"):
+            T.attention(q, k, v, np.zeros((1, 2)), 1)
+
+    def test_attention_rejects_bad_shapes(self):
+        x = Tensor(np.ones((1, 2, 4)))
+        with pytest.raises(ShapeMismatchError):
+            T.attention(x, x, x, np.zeros((1, 2)), 3)
+        with pytest.raises(ShapeMismatchError):
+            T.attention(x, x, x, np.zeros((1, 3)), 2)
 
     def test_finite_check_overflowing_sum_passes_silently(self):
         """[1e308, 1e308] sums to inf although both elements are finite."""

@@ -423,9 +423,10 @@ class TestGridSearch:
 
     def test_tie_prefers_first_point(self):
         data = small_data()
+        fp = TR.grid_fingerprint(small_config(), data.train, data.val)
         existing = {
-            0: GridResult(0, {"n_layers": 1}, 0.9, 0.0),
-            1: GridResult(1, {"n_layers": 2}, 0.9, 0.0),
+            0: GridResult(0, {"n_layers": 1}, 0.9, 0.0, fingerprint=fp),
+            1: GridResult(1, {"n_layers": 2}, 0.9, 0.0, fingerprint=fp),
         }
         best, results = grid_search(
             small_config(), {"n_layers": [1, 2]}, data.train, data.val,
@@ -445,9 +446,24 @@ class TestGridSearch:
 
     def test_existing_rows_skip_training(self):
         data = small_data()
-        marker = GridResult(0, {"epochs_max": 2}, 0.77, 0.0)
+        fp = TR.grid_fingerprint(small_config(), data.train, data.val)
+        marker = GridResult(0, {"epochs_max": 2}, 0.77, 0.0, fingerprint=fp)
         best, results = grid_search(
             small_config(), {"epochs_max": [2]}, data.train, data.val,
             existing={0: marker},
         )
         assert results == [marker]
+
+    def test_rows_of_another_dataset_are_retrained(self):
+        """Matching values and base config are not enough: a row stored for
+        other training data is trained again."""
+        data, other = small_data(), small_data(seed=18)
+        fp = TR.grid_fingerprint(small_config(), other.train, other.val)
+        stale = GridResult(0, {"epochs_max": 2}, 0.77, 0.0, fingerprint=fp)
+        best, results = grid_search(
+            small_config(), {"epochs_max": [2]}, data.train, data.val,
+            existing={0: stale},
+        )
+        assert results[0].mean_val_auc != 0.77
+        assert results[0].fingerprint == TR.grid_fingerprint(
+            small_config(), data.train, data.val)
