@@ -226,7 +226,6 @@ def cmd_grid(args) -> int:
     existing = None
     if args.resume and results_path.exists():
         existing = _read_grid_csv(results_path)
-        print(f"resuming: {len(existing)} completed points found")
 
     def progress(res: GridResult) -> None:
         if res.error:
@@ -241,6 +240,9 @@ def cmd_grid(args) -> int:
         epochs_max=args.epochs_max, patience=args.patience,
         existing=existing, progress=progress,
     )
+    if existing is not None:
+        reused = sum(existing.get(res.index) is res for res in results)
+        print(f"resuming: reused {reused} of {len(existing)} stored rows")
     _write_grid_csv(results_path, results)
     best_path = out / BEST_CONFIG_NAME
     with atomic_write(best_path, "w", encoding="utf-8") as fh:
@@ -292,7 +294,8 @@ def cmd_eval(args) -> int:
     roc_csv = out / f"roc_task{task}.csv"
     roc_svg_path = out / f"roc_task{task}.svg"
     roc_to_csv([curve], roc_csv)
-    roc_svg_path.write_text(roc_svg(curve), encoding="utf-8")
+    with atomic_write(roc_svg_path, "w", encoding="utf-8") as fh:
+        fh.write(roc_svg(curve))
     print(f"wrote {out / REPORT_NAME}, {roc_csv}, {roc_svg_path}")
     return 0
 

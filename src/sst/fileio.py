@@ -1,5 +1,5 @@
 """Crash-safe file replacement for the durable outputs (checkpoints, logs,
-grid results, selected configs).
+grid results, selected configs, evaluation reports and ROC curves).
 
 A writer opens a temporary file next to the target, and only a complete,
 flushed and synced file is renamed over the target with ``os.replace``.

@@ -2,11 +2,15 @@
 multi-head self-attention with padding masks, layer normalization, dropout,
 encoder blocks, and mask-aware average pooling.
 
-Parameter tensors are created with requires_grad=True and exposed through
-``parameters()`` as (name, tensor) pairs in a fixed declaration order; the
-checkpoint format and the optimizer both rely on that order being stable.
-``l2_parameters()`` returns the subset subject to weight decay: dense and
-projection weights only, never biases or normalization gains.
+Every layer with parameters is a :class:`Module`.  Parameter tensors are
+created with requires_grad=True and found by one walk over the module's
+attributes in declaration order: ``parameters()`` returns (dotted name,
+tensor) pairs, descending into child modules (``attention.w_q``) and lists
+of modules (``blocks.0.norm_ff.gain``).  The checkpoint format, the
+optimizer and ``state_arrays()`` / ``load_state_arrays()`` all rely on that
+order being stable.  ``l2_parameters()`` is the subset subject to weight
+decay: the matrices (dense and projection weights), never the 1-D biases or
+normalization gains.
 
 Dense layers and layer normalization run as the fused ``tensor.linear`` and
 ``tensor.layer_norm`` ops, one tape node each (plus one for a dense layer's
@@ -37,7 +41,41 @@ def glorot_uniform(n_in: int, n_out: int, rng: np.random.Generator) -> np.ndarra
     return rng.uniform(-limit, limit, size=(n_in, n_out))
 
 
-class DenseLayer:
+class Module:
+    """Base of every layer with parameters: one parameter walk, one weight
+    decay rule and one state get/set for the whole model tree."""
+
+    def parameters(self) -> list[tuple[str, Tensor]]:
+        out = []
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                if value.requires_grad:
+                    out.append((name, value))
+            elif isinstance(value, Module):
+                out.extend((f"{name}.{n}", p) for n, p in value.parameters())
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    if isinstance(item, Module):
+                        out.extend((f"{name}.{i}.{n}", p) for n, p in item.parameters())
+        return out
+
+    def l2_parameters(self) -> list[Tensor]:
+        return [p for _, p in self.parameters() if p.ndim == 2]
+
+    def state_arrays(self) -> list[np.ndarray]:
+        return [p.data.copy() for _, p in self.parameters()]
+
+    def load_state_arrays(self, arrays: list[np.ndarray]) -> None:
+        params = self.parameters()
+        if len(arrays) != len(params):
+            raise ValueError(f"expected {len(params)} arrays, got {len(arrays)}")
+        for (name, p), arr in zip(params, arrays):
+            if arr.shape != p.data.shape:
+                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
+            p.data = arr.copy()
+
+
+class DenseLayer(Module):
     """Affine map with an optional fixed activation."""
 
     def __init__(self, n_in: int, n_out: int, activation: str, rng: np.random.Generator):
@@ -60,12 +98,6 @@ class DenseLayer:
         if self.activation == "sigmoid":
             return T.sigmoid(out)
         return out
-
-    def parameters(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def l2_parameters(self):
-        return [self.weight]
 
 
 def positional_encoding_table(max_len: int, dmodel: int) -> np.ndarray:
@@ -96,7 +128,7 @@ class PositionalEncoding:
         return Tensor(self.table.data[:length])
 
 
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Scaled dot-product self-attention split across n_heads subspaces.
 
     Head i reads columns [i*d_k, (i+1)*d_k) of each projection, so the fused
@@ -137,19 +169,8 @@ class MultiHeadAttention:
             return context @ self.w_o, weights
         return result @ self.w_o
 
-    def parameters(self):
-        return [
-            ("w_q", self.w_q),
-            ("w_k", self.w_k),
-            ("w_v", self.w_v),
-            ("w_o", self.w_o),
-        ]
 
-    def l2_parameters(self):
-        return [self.w_q, self.w_k, self.w_v, self.w_o]
-
-
-class LayerNorm:
+class LayerNorm(Module):
     """Normalize the trailing axis to zero mean and unit variance, then apply
     a learned affine transform."""
 
@@ -167,12 +188,6 @@ class LayerNorm:
             )
         return T.layer_norm(x, self.gain, self.bias, self.EPS)
 
-    def parameters(self):
-        return [("gain", self.gain), ("bias", self.bias)]
-
-    def l2_parameters(self):
-        return []
-
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero each element with probability rate and scale
@@ -186,7 +201,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
     return x * Tensor(keep)
 
 
-class EncoderBlock:
+class EncoderBlock(Module):
     """Self-attention sublayer plus position-wise feed-forward sublayer, each
     wrapped as layernorm(x + dropout(sublayer(x)))."""
 
@@ -205,25 +220,6 @@ class EncoderBlock:
         x = self.norm_attn(x + dropout(attended, self.dropout_rate, training, rng))
         ff = self.ff_contract(self.ff_expand(x))
         return self.norm_ff(x + dropout(ff, self.dropout_rate, training, rng))
-
-    def parameters(self):
-        out = []
-        for prefix, module in (
-            ("attention", self.attention),
-            ("ff_expand", self.ff_expand),
-            ("ff_contract", self.ff_contract),
-            ("norm_attn", self.norm_attn),
-            ("norm_ff", self.norm_ff),
-        ):
-            out.extend((f"{prefix}.{name}", p) for name, p in module.parameters())
-        return out
-
-    def l2_parameters(self):
-        return (
-            self.attention.l2_parameters()
-            + self.ff_expand.l2_parameters()
-            + self.ff_contract.l2_parameters()
-        )
 
 
 def global_average_pool(x: Tensor, pad_mask: np.ndarray) -> Tensor:

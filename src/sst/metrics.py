@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sst.fileio import atomic_write
+
 
 class SingleClassError(ValueError):
     """The evaluated labels contain only one class, so no ROC exists."""
@@ -146,8 +148,8 @@ def multi_seed_report(per_run_aucs, n_pos, n_neg) -> list[ReportRow]:
 
 def report_to_csv(rows: list[ReportRow], path) -> None:
     """Columns: task_id, mean_auc, std_auc, n_pos, n_neg.  Undefined AUCs
-    are written as empty fields."""
-    with open(path, "w", newline="") as fh:
+    are written as empty fields.  The file is replaced atomically."""
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task_id", "mean_auc", "std_auc", "n_pos", "n_neg"])
         for r in rows:
@@ -177,8 +179,8 @@ def format_report(rows: list[ReportRow]) -> str:
 
 def roc_to_csv(curves: list[RocCurve], path) -> None:
     """Columns: task_id, threshold, fpr, tpr; one row per vertex, curves
-    concatenated."""
-    with open(path, "w", newline="") as fh:
+    concatenated.  The file is replaced atomically."""
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task_id", "threshold", "fpr", "tpr"])
         for c in curves:

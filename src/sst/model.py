@@ -96,7 +96,7 @@ def pair_probabilities(raw: Tensor) -> Tensor:
     return pos / (pos + neg)
 
 
-class SstModel:
+class SstModel(L.Module):
     """Encoder over [B, T, n_features] inputs producing [B, 2*n_tasks] raw
     sigmoid scores, two per task: column 2j is the negative head and 2j+1
     the positive head."""
@@ -149,40 +149,6 @@ class SstModel:
         the result has no parents and no intermediate outlives the call."""
         with T.no_grad():
             return pair_probabilities(self.forward(x, pad_mask, training=False))
-
-    # -- parameter bookkeeping -----------------------------------------
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        out = [(f"embedding.{n}", p) for n, p in self.embedding.parameters()]
-        for i, block in enumerate(self.blocks):
-            out.extend((f"blocks.{i}.{n}", p) for n, p in block.parameters())
-        for i, layer in enumerate(self.mlp):
-            out.extend((f"mlp.{i}.{n}", p) for n, p in layer.parameters())
-        return out
-
-    def l2_parameters(self) -> list[Tensor]:
-        out = self.embedding.l2_parameters()
-        for block in self.blocks:
-            out.extend(block.l2_parameters())
-        for layer in self.mlp:
-            out.extend(layer.l2_parameters())
-        return out
-
-    def zero_grad(self) -> None:
-        for _, p in self.parameters():
-            p.grad = None
-
-    def state_arrays(self) -> list[np.ndarray]:
-        return [p.data.copy() for _, p in self.parameters()]
-
-    def load_state_arrays(self, arrays: list[np.ndarray]) -> None:
-        params = self.parameters()
-        if len(arrays) != len(params):
-            raise ValueError(f"expected {len(params)} arrays, got {len(arrays)}")
-        for (name, p), arr in zip(params, arrays):
-            if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-            p.data = arr.copy()
 
 
 # -- checkpoint i/o ----------------------------------------------------

@@ -58,8 +58,6 @@ __all__ = [
     "scale",
     "exp",
     "log",
-    "sin",
-    "cos",
     "sqrt",
     "sigmoid",
     "relu",
@@ -67,7 +65,6 @@ __all__ = [
     "softmax",
     "reduce_sum",
     "reduce_mean",
-    "reduce_max",
     "reshape",
     "transpose",
     "backward",
@@ -104,8 +101,6 @@ OPS = (
     "scale",
     "exp",
     "log",
-    "sin",
-    "cos",
     "sqrt",
     "sigmoid",
     "relu",
@@ -113,7 +108,6 @@ OPS = (
     "softmax",
     "sum",
     "mean",
-    "max",
     "reshape",
     "transpose",
     "getitem",
@@ -259,9 +253,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False):
         return reduce_mean(self, axis, keepdims)
-
-    def max(self, axis=None, keepdims: bool = False):
-        return reduce_max(self, axis, keepdims)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -541,16 +532,6 @@ def log(x) -> Tensor:
     return Tensor._from_op(out, "log", (x,), lambda g: (g / x.data,))
 
 
-def sin(x) -> Tensor:
-    x = _ensure_tensor(x)
-    return Tensor._from_op(np.sin(x.data), "sin", (x,), lambda g: (g * np.cos(x.data),))
-
-
-def cos(x) -> Tensor:
-    x = _ensure_tensor(x)
-    return Tensor._from_op(np.cos(x.data), "cos", (x,), lambda g: (-g * np.sin(x.data),))
-
-
 def sqrt(x) -> Tensor:
     x = _ensure_tensor(x)
     if np.any(x.data < 0.0):
@@ -652,23 +633,6 @@ def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
         return (np.ascontiguousarray(_expand_reduced(g, x.shape, axis, keepdims)) / n,)
 
     return Tensor._from_op(np.asarray(out), "mean", (x,), bwd)
-
-
-def reduce_max(x, axis=None, keepdims: bool = False) -> Tensor:
-    """Max reduction; ties share the incoming gradient equally."""
-    x = _ensure_tensor(x)
-    if axis is not None:
-        axis = _norm_axis(axis, x.ndim, "max")
-    _check_nonempty(x, axis, "max")
-    out = x.data.max(axis=axis, keepdims=keepdims)
-    full = x.data.max(axis=axis, keepdims=True) if axis is not None else np.asarray(out).reshape((1,) * x.ndim)
-
-    def bwd(g: np.ndarray):
-        mask = x.data == full
-        count = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-        return (mask * _expand_reduced(g, x.shape, axis, keepdims) / count,)
-
-    return Tensor._from_op(np.asarray(out), "max", (x,), bwd)
 
 
 # -- shape ops ---------------------------------------------------------

@@ -283,15 +283,6 @@ def fit(model: SstModel, train: Batch, val: Batch, *,
     adam = Adam(params)
     l2_params = model.l2_parameters()
 
-    def snapshot():
-        return ([p.data.copy() for _, p in params], tw.log_var.data.copy())
-
-    def restore(snap):
-        arrays, log_var = snap
-        for (_, p), arr in zip(params, arrays):
-            p.data = arr.copy()
-        tw.log_var.data = log_var.copy()
-
     report = TrainReport()
     best_snap = None
     since_improved = 0
@@ -336,7 +327,7 @@ def fit(model: SstModel, train: Batch, val: Batch, *,
         if val_loss < report.best_val_loss:
             report.best_val_loss = val_loss
             report.best_epoch = epoch
-            best_snap = snapshot()
+            best_snap = (model.state_arrays(), tw.log_var.data.copy())
             since_improved = 0
         else:
             since_improved += 1
@@ -345,7 +336,8 @@ def fit(model: SstModel, train: Batch, val: Batch, *,
                 break
 
     if best_snap is not None:
-        restore(best_snap)
+        model.load_state_arrays(best_snap[0])
+        tw.log_var.data = best_snap[1]
     return report
 
 

@@ -185,7 +185,7 @@ class TestGrid:
         assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),
                     "--resume", "--out", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "resuming: 2 completed points found" in text
+        assert "resuming: reused 2 of 2 stored rows" in text
         assert (out / "grid_results.csv").read_text() == first
 
     def test_resume_retrains_rows_of_other_points(self, dataset, tmp_path):
@@ -212,12 +212,14 @@ class TestGrid:
             capsys.readouterr()
             assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),
                         "--epochs-max", "1", "--out", str(out)] + extra) == 0
-            assert "point 1/1 mean val AUC" in capsys.readouterr().out
+            text = capsys.readouterr().out
+            assert "point 1/1 mean val AUC" in text
             with open(out / "grid_results.csv", newline="") as fh:
                 rows = list(csv.reader(fh))
             fingerprints.append(rows[1][-1])
         assert rows[0][-1] == "fingerprint"
         assert fingerprints[0] != fingerprints[1]
+        assert "resuming: reused 0 of 1 stored rows" in text
         assert json.loads((out / "best_config.json").read_text())["dmodel"] == 8
 
     def test_resume_reads_a_csv_without_fingerprints(self, dataset, tmp_path, capsys):
@@ -233,7 +235,7 @@ class TestGrid:
         assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),
                     "--resume", "--out", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "resuming: 1 completed points found" in text
+        assert "resuming: reused 0 of 1 stored rows" in text
         assert "point 1/1 mean val AUC" in text
         with open(out / "grid_results.csv", newline="") as fh:
             rows = list(csv.reader(fh))

@@ -166,6 +166,39 @@ class TestLayerNorm:
         assert L.LayerNorm(4).l2_parameters() == []
 
 
+class TestModule:
+    def test_walk_names_children_in_declaration_order(self):
+        class Toy(L.Module):
+            def __init__(self):
+                self.frozen = Tensor(np.ones(2))  # no grad: not a parameter
+                self.w = Tensor(np.ones((2, 2)), requires_grad=True)
+                self.norm = L.LayerNorm(2)
+                self.stack = [L.LayerNorm(2), "not a module"]
+
+        toy = Toy()
+        assert [n for n, _ in toy.parameters()] == [
+            "w", "norm.gain", "norm.bias", "stack.0.gain", "stack.0.bias",
+        ]
+        decayed = toy.l2_parameters()
+        assert len(decayed) == 1 and decayed[0] is toy.w
+
+    def test_state_round_trip_copies(self):
+        source, target = L.LayerNorm(3), L.LayerNorm(3)
+        source.gain.data = np.array([1.0, 2.0, 3.0])
+        arrays = source.state_arrays()
+        target.load_state_arrays(arrays)
+        arrays[0][0] = 9.0
+        np.testing.assert_array_equal(target.gain.data, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(source.gain.data, [1.0, 2.0, 3.0])
+
+    def test_load_rejects_wrong_count_and_shape(self):
+        norm = L.LayerNorm(3)
+        with pytest.raises(ValueError, match="expected 2 arrays"):
+            norm.load_state_arrays([np.ones(3)])
+        with pytest.raises(ValueError, match="shape mismatch for bias"):
+            norm.load_state_arrays([np.ones(3), np.ones(4)])
+
+
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = Tensor(np.ones((3, 3)))

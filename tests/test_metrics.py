@@ -157,6 +157,23 @@ class TestMultiSeedReport:
         assert float(got[1][1]) == 0.8500000000000001 or abs(float(got[1][1]) - 0.85) < 1e-12
         assert got[2][1] == ""  # undefined stays empty
 
+    def test_failed_write_keeps_previous_report(self, tmp_path):
+        """A write that dies partway leaves the old report byte-identical
+        and no temporary file behind."""
+        rows = M.multi_seed_report([[0.8, 0.7]], n_pos=[3, 2], n_neg=[5, 6])
+        path = tmp_path / "report.csv"
+        M.report_to_csv(rows, path)
+        before = path.read_bytes()
+
+        def failing_rows():
+            yield rows[0]
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            M.report_to_csv(failing_rows(), path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["report.csv"]
+
 
 class TestRocPersistence:
     def test_csv_round_trip_preserves_auc(self, tmp_path):

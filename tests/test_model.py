@@ -1,6 +1,7 @@
 """End-to-end model: shapes, purity, pair normalization, padding invariance,
 checkpoint round trips."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -241,6 +242,27 @@ class TestCheckpoint:
             save_weights(model, path)
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["m.sst"]
+
+    def test_golden_checkpoint_bytes(self, tmp_path):
+        """The checkpoint format and the parameter walk's order are pinned:
+        changing either changes these bytes."""
+        model = SstModel(SstConfig(n_features=5, max_timesteps=4, n_tasks=2, n_layers=2,
+                                   dmodel=8, dff=8, n_heads=2, dropout_rate=0.0, seed=0))
+        path = tmp_path / "golden.sst"
+        save_weights(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "70f5896d8316f9c629753b1c017e0ec363bb2871bf19241df934f6b1a4a396e1"
+        )
+        block = ["attention.w_q", "attention.w_k", "attention.w_v", "attention.w_o",
+                 "ff_expand.weight", "ff_expand.bias", "ff_contract.weight", "ff_contract.bias",
+                 "norm_attn.gain", "norm_attn.bias", "norm_ff.gain", "norm_ff.bias"]
+        assert [n for n, _ in model.parameters()] == (
+            ["embedding.weight", "embedding.bias"]
+            + [f"blocks.{i}.{n}" for i in range(2) for n in block]
+            + [f"mlp.{i}.{n}" for i in range(3) for n in ("weight", "bias")]
+        )
+        # embedding, 2 x (4 projections + 2 feed-forward weights), 3 MLP weights
+        assert len(model.l2_parameters()) == 16
 
     def test_truncated_file_rejected(self, tmp_path):
         model = tiny_model()

@@ -62,7 +62,6 @@ class TestForwardOracles:
             T.reduce_mean(Tensor(x), axis=-1, keepdims=True).data,
             x.mean(axis=-1, keepdims=True),
         )
-        np.testing.assert_allclose(T.reduce_max(Tensor(x)).data, x.max())
 
     def test_elementwise_chain(self):
         x = Tensor([0.5, 1.5])
@@ -71,11 +70,6 @@ class TestForwardOracles:
 
 
 class TestGradients:
-    def test_sin_gradient_is_cos(self):
-        x = Tensor(np.array(1.0), requires_grad=True)
-        T.sin(x).backward()
-        np.testing.assert_allclose(x.grad, np.cos(1.0), atol=1e-12)
-
     def test_square_sum_gradient(self):
         """d/dx sum(x*x) = 2x, exactly."""
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
@@ -209,8 +203,6 @@ GRAD_CASES = [
     ("scale", lambda x: T.scale(x, 3.25).sum(), _anywhere),
     ("exp", lambda x: T.exp(x).sum(), _anywhere),
     ("log", lambda x: T.log(x).sum(), _positive),
-    ("sin", lambda x: T.sin(x).sum(), _anywhere),
-    ("cos", lambda x: T.cos(x).sum(), _anywhere),
     ("sqrt", lambda x: T.sqrt(x).sum(), _positive),
     ("sigmoid", lambda x: T.sigmoid(x).sum(), _anywhere),
     ("relu", lambda x: T.relu(x).mean(), _positive),
@@ -218,7 +210,6 @@ GRAD_CASES = [
     ("softmax", lambda x: (T.softmax(x, axis=-1) * T.softmax(x, axis=-1)).sum(), _anywhere),
     ("sum", lambda x: x.sum(axis=0).sum(), _anywhere),
     ("mean", lambda x: x.mean(axis=1, keepdims=True).sum(), _anywhere),
-    ("max", lambda x: x.max(axis=-1).sum(), _anywhere),
     ("reshape", lambda x: (x.reshape(12) * x.reshape(12)).sum(), _anywhere),
     ("transpose", lambda x: T.matmul(T.transpose(x), x).sum(), _anywhere),
     ("getitem", lambda x: (x[1:, :2] * x[1:, :2]).sum(), _anywhere),
