@@ -227,7 +227,12 @@ def cmd_grid(args) -> int:
     if args.resume and results_path.exists():
         existing = _read_grid_csv(results_path)
 
+    # rewritten after every point, so an interrupted grid can be resumed
+    rows = dict(existing or {})
+
     def progress(res: GridResult) -> None:
+        rows[res.index] = res
+        _write_grid_csv(results_path, [rows[i] for i in sorted(rows)])
         if res.error:
             print(f"point {res.index + 1}/{len(points)} failed: {res.error}")
         else:

@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+from sst.fileio import atomic_write
 from sst.npyio import read_npy, write_npy
-from sst.tensor import Tensor
+from sst.tensor import NumericsError, Tensor
 
 
 @dataclass
@@ -241,7 +242,8 @@ def save_manifest(path, *, m: int, n_features: int, timesteps: int, seed: int,
                   splits: dict[str, dict[str, str]]) -> None:
     doc = {"m": m, "n_features": n_features, "timesteps": timesteps,
            "seed": seed, "splits": splits}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(path) -> dict:
@@ -279,13 +281,19 @@ def load_split(x_path, y_path, *, n_tasks: int) -> Batch:
         raise ValueError(
             f"sample count mismatch: {x_path} has {x.shape[0]}, {y_path} has {y.shape[0]}"
         )
+    tensors = []
+    for path, arr in ((x_path, x), (y_path, y)):
+        try:  # the Tensor's own finiteness check is the only pass over the data
+            tensors.append(Tensor(arr))
+        except NumericsError as err:
+            raise ValueError(f"{path}: contains NaN or Inf values") from err
     indicator = x[:, :, -1]
     if not np.all(np.isin(indicator, (0.0, 1.0))):
         raise ValueError(f"{x_path}: padding indicator column contains non-0/1 values")
     return Batch(
-        x=Tensor(x),
+        x=tensors[0],
         pad_mask=Tensor(indicator),
-        labels=Tensor(y),
+        labels=tensors[1],
         label_mask=Tensor(derive_label_mask(y)),
     )
 

@@ -1,5 +1,6 @@
 """Crash-safe file replacement for the durable outputs (checkpoints, logs,
-grid results, selected configs, evaluation reports and ROC curves).
+grid results, selected configs, evaluation reports, ROC curves, and the
+NPY arrays and manifest of a synthesized dataset).
 
 A writer opens a temporary file next to the target, and only a complete,
 flushed and synced file is renamed over the target with ``os.replace``.

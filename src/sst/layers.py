@@ -17,7 +17,9 @@ Dense layers and layer normalization run as the fused ``tensor.linear`` and
 activation) with hand-written backward passes.  Multi-head attention is the
 three input projections, the fused ``tensor.attention`` op (head split,
 scaled scores, key padding penalty, softmax, weighted values and head merge
-in one node) and the output projection: five tape nodes in all.
+in one node) and the output projection: five tape nodes in all.  These
+layers check no operand shapes themselves: the op each one calls is the one
+place that raises ``ShapeMismatchError``.
 """
 
 from __future__ import annotations
@@ -81,17 +83,11 @@ class DenseLayer(Module):
     def __init__(self, n_in: int, n_out: int, activation: str, rng: np.random.Generator):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation '{activation}', expected one of {ACTIVATIONS}")
-        self.n_in = n_in
-        self.n_out = n_out
         self.activation = activation
         self.weight = Tensor(glorot_uniform(n_in, n_out, rng), requires_grad=True)
         self.bias = Tensor(np.zeros(n_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.n_in:
-            raise ShapeMismatchError(
-                f"dense layer expects trailing dim {self.n_in}, got {x.shape[-1]}"
-            )
         out = T.linear(x, self.weight, self.bias)
         if self.activation == "relu":
             return T.relu(out)
@@ -112,22 +108,6 @@ def positional_encoding_table(max_len: int, dmodel: int) -> np.ndarray:
     return table
 
 
-class PositionalEncoding:
-    def __init__(self, max_len: int, dmodel: int):
-        if max_len < 1 or dmodel < 1:
-            raise ValueError("positional encoding needs positive max_len and dmodel")
-        self.max_len = max_len
-        self.dmodel = dmodel
-        self.table = Tensor(positional_encoding_table(max_len, dmodel))
-
-    def lookup(self, length: int) -> Tensor:
-        if length > self.max_len:
-            raise ShapeMismatchError(
-                f"sequence length {length} exceeds positional table max_len {self.max_len}"
-            )
-        return Tensor(self.table.data[:length])
-
-
 class MultiHeadAttention(Module):
     """Scaled dot-product self-attention split across n_heads subspaces.
 
@@ -141,26 +121,14 @@ class MultiHeadAttention(Module):
             raise ShapeMismatchError(
                 f"dmodel {dmodel} not divisible by n_heads {n_heads}"
             )
-        self.dmodel = dmodel
         self.n_heads = n_heads
-        self.d_k = dmodel // n_heads
         self.w_q = Tensor(glorot_uniform(dmodel, dmodel, rng), requires_grad=True)
         self.w_k = Tensor(glorot_uniform(dmodel, dmodel, rng), requires_grad=True)
         self.w_v = Tensor(glorot_uniform(dmodel, dmodel, rng), requires_grad=True)
         self.w_o = Tensor(glorot_uniform(dmodel, dmodel, rng), requires_grad=True)
 
     def __call__(self, x: Tensor, pad_mask: np.ndarray, return_weights: bool = False):
-        if x.ndim != 3 or x.shape[-1] != self.dmodel:
-            raise ShapeMismatchError(
-                f"attention expects [B, T, {self.dmodel}], got {x.shape}"
-            )
-        batch, length, _ = x.shape
         pad_mask = np.asarray(pad_mask, dtype=np.float64)
-        if pad_mask.shape != (batch, length):
-            raise ShapeMismatchError(
-                f"pad_mask shape {pad_mask.shape} does not match batch ({batch}, {length})"
-            )
-
         # padded keys get a -1e9 logit so softmax assigns them exactly zero
         result = T.attention(x @ self.w_q, x @ self.w_k, x @ self.w_v,
                              pad_mask * MASK_LOGIT, self.n_heads, return_weights)
@@ -177,15 +145,10 @@ class LayerNorm(Module):
     EPS = 1e-9
 
     def __init__(self, width: int):
-        self.width = width
         self.gain = Tensor(np.ones(width), requires_grad=True)
         self.bias = Tensor(np.zeros(width), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.width:
-            raise ShapeMismatchError(
-                f"layer norm expects trailing dim {self.width}, got {x.shape[-1]}"
-            )
         return T.layer_norm(x, self.gain, self.bias, self.EPS)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,17 @@ class SstConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # the annotations are the strings "int", "float" and "bool" here; a
+        # float field takes an int too, and no number field takes a bool
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kinds = {"int": int, "float": (int, float), "bool": bool}[f.type]
+            if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, kinds):
+                raise ValueError(f"config field {f.name} must be of type {f.type}, got {value!r}")
         for field in ("n_features", "max_timesteps", "n_tasks", "n_layers",
                       "dmodel", "dff", "n_heads", "batch_size", "warmup"):
             value = getattr(self, field)
-            if not isinstance(value, int) or value < 1:
+            if value < 1:
                 raise ValueError(f"config field {field} must be a positive integer, got {value!r}")
         if self.dmodel % self.n_heads != 0:
             raise ValueError(
@@ -65,11 +73,11 @@ class SstConfig:
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
-        if self.lr_factor <= 0:
-            raise ValueError(f"lr_factor must be positive, got {self.lr_factor}")
-        if self.l2_factor < 0:
-            raise ValueError(f"l2_factor must be non-negative, got {self.l2_factor}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not 0.0 < self.lr_factor < math.inf:
+            raise ValueError(f"lr_factor must be positive and finite, got {self.lr_factor}")
+        if not 0.0 <= self.l2_factor < math.inf:
+            raise ValueError(f"l2_factor must be non-negative and finite, got {self.l2_factor}")
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @classmethod
@@ -105,7 +113,7 @@ class SstModel(L.Module):
         self.config = config
         rng = np.random.default_rng([config.seed, 0])
         self.embedding = L.DenseLayer(config.n_features, config.dmodel, "none", rng)
-        self.pe = L.PositionalEncoding(config.max_timesteps, config.dmodel)
+        self.pe_table = L.positional_encoding_table(config.max_timesteps, config.dmodel)
         self.blocks = [
             L.EncoderBlock(config.dmodel, config.dff, config.n_heads,
                            config.dropout_rate, rng)
@@ -119,27 +127,26 @@ class SstModel(L.Module):
 
     def forward(self, x, pad_mask, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
+        cfg = self.config
         x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.ndim != 3 or x.shape[-1] != self.config.n_features:
+        if x.ndim != 3 or x.shape[1] > cfg.max_timesteps or x.shape[-1] != cfg.n_features:
             raise ShapeMismatchError(
-                f"expected input [B, T, {self.config.n_features}], got {x.shape}"
+                f"expected input [B, T <= {cfg.max_timesteps}, {cfg.n_features}], got {x.shape}"
             )
         if training and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
         if isinstance(pad_mask, Tensor):
             pad_mask = pad_mask.data
         pad_mask = np.asarray(pad_mask, dtype=np.float64)
-        length = x.shape[1]
-        rate = self.config.dropout_rate
+        rate = cfg.dropout_rate
 
-        h = self.embedding(x) + self.pe.lookup(length)
-        h = L.dropout(h, rate, training, rng) if training else h
+        h = self.embedding(x) + self.pe_table[:x.shape[1]]
+        h = L.dropout(h, rate, training, rng)
         for block in self.blocks:
             h = block(h, pad_mask, training, rng)
         pooled = L.global_average_pool(h, pad_mask)
         for layer in self.mlp[:-1]:
-            pooled = layer(pooled)
-            pooled = L.dropout(pooled, rate, training, rng) if training else pooled
+            pooled = L.dropout(layer(pooled), rate, training, rng)
         return self.mlp[-1](pooled)
 
     def predict_proba(self, x, pad_mask) -> Tensor:

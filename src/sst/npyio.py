@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sst.fileio import atomic_write
+
 MAGIC = b"\x93NUMPY"
 VERSION = (1, 0)
 HEADER_ALIGN = 64
@@ -38,7 +40,8 @@ class NpyArray:
 
 
 def write_npy(arr, path) -> None:
-    """Serialize a float32/float64 ndarray, C-order, version 1.0."""
+    """Serialize a float32/float64 ndarray, C-order, version 1.0; an
+    interrupted write leaves any previous file at ``path`` intact."""
     if isinstance(arr, NpyArray):
         arr = arr.array
     arr = np.asarray(arr)
@@ -58,7 +61,7 @@ def write_npy(arr, path) -> None:
     pad = (-unpadded) % HEADER_ALIGN
     header_bytes = (header + " " * pad + "\n").encode("latin1")
 
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(bytes(VERSION))
         fh.write(len(header_bytes).to_bytes(2, "little"))

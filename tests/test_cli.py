@@ -9,6 +9,7 @@ import pytest
 
 from sst.cli import main
 from sst.model import load_weights
+from sst.npyio import read_npy, write_npy
 
 
 def run(argv):
@@ -121,6 +122,29 @@ class TestTrain:
         cfg = config_file(tmp_path, n_features=5)
         assert run(["train", "--manifest", str(dataset), "--config", str(cfg),
                     "--epochs-max", "1", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("setting, field", [
+        ('lr_factor="0.5"', "lr_factor"),
+        ("n_heads=true", "n_heads"),
+        ('uncertainty_weighting="no"', "uncertainty_weighting"),
+        ("lr_factor=NaN", "lr_factor"),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, dataset, tmp_path, capsys,
+                                                 setting, field):
+        code = run(["train", "--manifest", str(dataset), "--set", setting,
+                    "--epochs-max", "1", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
+    def test_non_finite_input_names_the_file_and_exits_2(self, dataset, tmp_path, capsys):
+        x_path = dataset.parent / "train_x.npy"
+        x = read_npy(x_path).array
+        x[0, 0, 0] = np.nan
+        write_npy(x, x_path)
+        code = run(["train", "--manifest", str(dataset), "--set", "dmodel=8",
+                    "--epochs-max", "1", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "train_x.npy" in capsys.readouterr().err
 
     def test_divergence_exits_3_and_logs_last_epoch(self, dataset, tmp_path,
                                                     capsys, monkeypatch):
@@ -240,6 +264,36 @@ class TestGrid:
         with open(out / "grid_results.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert float(rows[1][2]) != 0.99 and len(rows[1][-1]) == 64
+
+    def test_interrupted_grid_resumes_from_its_completed_points(self, dataset, tmp_path,
+                                                                 capsys, monkeypatch):
+        """Results are on disk after every point: a grid killed during its
+        second point resumes with the first and picks what a whole run picks."""
+        import sst.training as training_mod
+
+        cfg = config_file(tmp_path, lr_factor=[0.5, 0.2])
+        grid = ["grid", "--manifest", str(dataset), "--config", str(cfg), "--epochs-max", "1"]
+        assert run(grid + ["--out", str(tmp_path / "whole")]) == 0
+
+        real_fit = training_mod.fit
+        calls = []
+
+        def fit_until_second_point(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real_fit(*args, **kwargs)
+
+        out = tmp_path / "g"
+        monkeypatch.setattr(training_mod, "fit", fit_until_second_point)
+        with pytest.raises(KeyboardInterrupt):
+            run(grid + ["--out", str(out)])
+        monkeypatch.setattr(training_mod, "fit", real_fit)
+        capsys.readouterr()
+        assert run(grid + ["--resume", "--out", str(out)]) == 0
+        assert "resuming: reused 1 of 1 stored rows" in capsys.readouterr().out
+        assert ((out / "best_config.json").read_bytes()
+                == (tmp_path / "whole" / "best_config.json").read_bytes())
 
     def test_resume_from_a_malformed_csv_exits_2(self, dataset, tmp_path, capsys):
         cfg = config_file(tmp_path, epochs_max=[1])

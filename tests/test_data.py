@@ -246,6 +246,44 @@ class TestManifestRoundTrip:
         with pytest.raises(ValueError, match="indicator"):
             D.load_dataset(manifest_path)
 
+    @pytest.mark.parametrize("name", ["train_x.npy", "manifest.json"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, name):
+        """A synth writer that dies partway leaves the old file byte-identical
+        and no temporary file behind."""
+        import builtins
+
+        from sst import fileio
+        from sst.npyio import write_npy
+
+        data = D.synth_dataset(m=1, n_samples=100, timesteps=2, n_features=4,
+                               separability=4.0, imbalance=0.1, seed=3)
+        D.save_dataset(data, tmp_path, m=1, seed=3)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+        class TornFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, blob):
+                self.fh.write(blob[: len(blob) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(fileio, "open",
+                            lambda *a, **kw: TornFile(builtins.open(*a, **kw)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            if name == "manifest.json":
+                D.save_manifest(tmp_path / name, m=2, n_features=9, timesteps=3, seed=0,
+                                splits={})
+            else:
+                write_npy(np.zeros((2, 2)), tmp_path / name)
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
     def test_unknown_manifest_key_rejected(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"m": 1, "extra": 2}')
         with pytest.raises(ValueError, match="manifest"):

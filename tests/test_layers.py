@@ -73,12 +73,6 @@ class TestPositionalEncoding:
         table = L.positional_encoding_table(500, 64)
         assert np.all(np.abs(table) <= 1.0)
 
-    def test_lookup_length_limit(self):
-        pe = L.PositionalEncoding(max_len=5, dmodel=4)
-        assert pe.lookup(5).shape == (5, 4)
-        with pytest.raises(ShapeMismatchError):
-            pe.lookup(6)
-
 
 def mha_oracle(x, wq, wk, wv, wo, n_heads, pad_mask):
     """Per-head attention computed step by step with plain numpy."""
@@ -132,6 +126,12 @@ class TestMultiHeadAttention:
         with pytest.raises(ShapeMismatchError):
             mha(Tensor(np.zeros((2, 3, 4))), np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 5)], ids=["rank_2", "width_5"])
+    def test_rejects_bad_input_shape(self, shape):
+        mha = L.MultiHeadAttention(dmodel=4, n_heads=2, rng=rng())
+        with pytest.raises(ShapeMismatchError):
+            mha(Tensor(np.zeros(shape)), np.zeros(shape[:2]))
+
     def test_grad_check(self):
         r = rng()
         mha = L.MultiHeadAttention(dmodel=4, n_heads=2, rng=r)
@@ -149,6 +149,10 @@ class TestLayerNorm:
         out = ln(Tensor(rng().normal(loc=3.0, scale=2.0, size=(4, 16)))).data
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-6)
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-6)
+
+    def test_rejects_wrong_input_width(self):
+        with pytest.raises(ShapeMismatchError):
+            L.LayerNorm(3)(Tensor(np.ones((4, 5))))
 
     def test_grad_check(self):
         ln = L.LayerNorm(6)

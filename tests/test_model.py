@@ -15,7 +15,7 @@ from sst.model import (
     pair_probabilities,
     save_weights,
 )
-from sst.tensor import Tensor, grad_check
+from sst.tensor import ShapeMismatchError, Tensor, grad_check
 
 TINY = dict(n_features=5, max_timesteps=4, n_tasks=2, n_layers=1,
             dmodel=8, dff=8, n_heads=2, dropout_rate=0.0)
@@ -46,6 +46,15 @@ class TestConfig:
     def test_rejects_nonpositive_extent(self):
         with pytest.raises(ValueError, match="n_tasks"):
             SstConfig(n_features=1, max_timesteps=1, n_tasks=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr_factor", "0.5"), ("n_heads", True), ("uncertainty_weighting", "no"),
+        ("lr_factor", float("nan")), ("l2_factor", float("inf")), ("seed", False),
+        ("dropout_rate", None),
+    ])
+    def test_rejects_wrong_type_or_non_finite_value(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SstConfig(n_features=1, max_timesteps=1, n_tasks=1, **{field: value})
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="momentum"):
@@ -111,6 +120,12 @@ class TestForward:
     def test_different_seed_different_init(self):
         a, b = tiny_model(seed=0), tiny_model(seed=1)
         assert not np.array_equal(a.embedding.weight.data, b.embedding.weight.data)
+
+    def test_length_limit_is_the_positional_table(self):
+        model = tiny_model()
+        assert model.forward(np.zeros((1, 4, 5)), np.zeros((1, 4))).shape == (1, 4)
+        with pytest.raises(ShapeMismatchError):
+            model.forward(np.zeros((1, 5, 5)), np.zeros((1, 5)))
 
     def test_training_mode_needs_rng(self):
         model = tiny_model(dropout_rate=0.5)
@@ -289,4 +304,4 @@ class TestCheckpoint:
 
     def test_output_width_is_twice_tasks(self):
         model = tiny_model()
-        assert model.mlp[-1].n_out == 2 * model.config.n_tasks
+        assert model.mlp[-1].weight.shape[1] == 2 * model.config.n_tasks
