@@ -30,10 +30,10 @@ err = grad_check(lambda t: (sigmoid(t @ w) * Tensor(np.array([[0.3, -0.7]]))).su
                  Tensor(np.array([[0.2, -1.4]])))
 print(f"grad_check relative error: {err:.2e}")
 
-# domain violations raise immediately instead of propagating NaN
-from sst.tensor import DomainError, log
+# domain violations raise immediately instead of propagating Inf or NaN
+from sst.tensor import DomainError
 
 try:
-    log(Tensor(np.array([-1.0])))
+    Tensor(np.array([1.0])) / Tensor(np.array([0.0]))
 except DomainError as e:
     print("caught:", e)

@@ -17,9 +17,12 @@ Dense layers and layer normalization run as the fused ``tensor.linear`` and
 activation) with hand-written backward passes.  Multi-head attention is the
 three input projections, the fused ``tensor.attention`` op (head split,
 scaled scores, key padding penalty, softmax, weighted values and head merge
-in one node) and the output projection: five tape nodes in all.  These
-layers check no operand shapes themselves: the op each one calls is the one
-place that raises ``ShapeMismatchError``.
+in one node) and the output projection: five tape nodes in all.  Dropout is
+one ``mul`` node, pooling is a ``mul``, a ``sum`` and a ``div``, and the
+residual connections are ``add`` nodes; apart from the loss, these and the
+activations are the only other ops on a training tape.  These layers check
+no operand shapes themselves: the op each one calls is the one place that
+raises ``ShapeMismatchError``.
 """
 
 from __future__ import annotations

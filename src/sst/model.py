@@ -20,7 +20,7 @@ import numpy as np
 from sst import layers as L
 from sst import tensor as T
 from sst.fileio import atomic_write
-from sst.tensor import ShapeMismatchError, Tensor
+from sst.tensor import DomainError, ShapeMismatchError, Tensor
 
 CHECKPOINT_MAGIC = b"SSTCKPT"
 CHECKPOINT_VERSION = 1
@@ -96,12 +96,16 @@ class SstConfig:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
 
 
-def pair_probabilities(raw: Tensor) -> Tensor:
+def pair_probabilities(raw: np.ndarray) -> np.ndarray:
     """[B, 2m] raw (negative, positive) head scores -> [B, m] positive
-    probabilities pos / (pos + neg)."""
-    pairs = raw.reshape(raw.shape[0], raw.shape[1] // 2, 2)
-    neg, pos = pairs[:, :, 0], pairs[:, :, 1]
-    return pos / (pos + neg)
+    probabilities pos / (pos + neg), in plain numpy: it only runs for
+    inference and validation, without a tape.  Sigmoid heads are positive
+    unless both underflow to 0, which raises ``DomainError``."""
+    neg, pos = raw[:, 0::2], raw[:, 1::2]
+    total = pos + neg
+    if np.any(total == 0.0):
+        raise DomainError("pair_probabilities: a head pair sums to zero")
+    return pos / total
 
 
 class SstModel(L.Module):
@@ -151,11 +155,12 @@ class SstModel(L.Module):
 
     def predict_proba(self, x, pad_mask) -> Tensor:
         """Per-task positive probability: each (negative, positive) head pair
-        is normalized as pos / (pos + neg).  Sigmoid outputs are strictly
-        positive so the ratio is always defined.  Runs without a tape, so
-        the result has no parents and no intermediate outlives the call."""
+        is normalized as pos / (pos + neg) by ``pair_probabilities``.  Runs
+        without a tape, so the result has no parents and no intermediate
+        outlives the call."""
         with T.no_grad():
-            return pair_probabilities(self.forward(x, pad_mask, training=False))
+            raw = self.forward(x, pad_mask, training=False)
+        return Tensor(pair_probabilities(raw.data))
 
 
 # -- checkpoint i/o ----------------------------------------------------
@@ -176,7 +181,8 @@ def save_weights(model: SstModel, path) -> None:
 
 def load_weights(path, expect: SstConfig | None = None) -> SstModel:
     """Rebuild a model from a checkpoint.  ``expect`` cross-checks the stored
-    config against what the caller assumes; mismatches name the field."""
+    config against what the caller assumes; mismatches name the field.  A
+    NaN or Inf parameter value is rejected with its name and byte offset."""
     with open(path, "rb") as fh:
         blob = fh.read()
     offset = len(CHECKPOINT_MAGIC)
@@ -220,11 +226,14 @@ def load_weights(path, expect: SstConfig | None = None) -> SstModel:
                 f"truncated checkpoint: parameter '{name}' needs {nbytes} bytes "
                 f"at offset {offset}, file has {len(blob) - offset}"
             )
-        arrays.append(
-            np.frombuffer(blob, dtype="<f8", count=p.data.size, offset=offset)
-            .reshape(p.data.shape)
-            .astype(np.float64)
-        )
+        arr = np.frombuffer(blob, dtype="<f8", count=p.data.size, offset=offset)
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise CheckpointError(
+                f"non-finite value in parameter '{name}' at offset "
+                f"{offset + 8 * int(np.argmin(finite))}"
+            )
+        arrays.append(arr.reshape(p.data.shape).astype(np.float64))
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"trailing data after parameters at offset {offset}")

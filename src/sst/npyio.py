@@ -14,6 +14,7 @@ data section starts on a 64-byte boundary, then the raw buffer.
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,7 @@ def parse_npy(blob: bytes) -> NpyArray:
     header_text = blob[10:data_offset].decode("latin1")
     try:
         header = ast.literal_eval(header_text.strip())
-    except (ValueError, SyntaxError) as err:
+    except (ValueError, SyntaxError, TypeError) as err:  # TypeError: unhashable key
         raise NpyFormatError(f"unparseable header dict at byte 10: {err}") from err
     if not isinstance(header, dict) or set(header) != {"descr", "fortran_order", "shape"}:
         raise NpyFormatError(
@@ -101,7 +102,7 @@ def parse_npy(blob: bytes) -> NpyArray:
         )
 
     descr = header["descr"]
-    if descr not in SUPPORTED_DESCRS:
+    if not isinstance(descr, str) or descr not in SUPPORTED_DESCRS:
         raise NpyFormatError(
             f"unsupported descr {descr!r} at byte 10, expected one of {sorted(SUPPORTED_DESCRS)}"
         )
@@ -113,7 +114,7 @@ def parse_npy(blob: bytes) -> NpyArray:
         raise NpyFormatError(f"shape at byte 10 must be a tuple of non-negative ints, got {shape!r}")
 
     dtype = np.dtype(SUPPORTED_DESCRS[descr])
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    count = math.prod(shape)  # exact: an int64 product could wrap around
     expected = count * dtype.itemsize
     actual = len(blob) - data_offset
     if actual != expected:
@@ -122,5 +123,8 @@ def parse_npy(blob: bytes) -> NpyArray:
         )
 
     flat = np.frombuffer(blob, dtype=dtype, count=count, offset=data_offset)
-    array = np.reshape(flat.copy(), shape, order="F" if fortran_order else "C")
+    try:  # an empty array can still declare more axes or extent than numpy allows
+        array = np.reshape(flat.copy(), shape, order="F" if fortran_order else "C")
+    except ValueError as err:
+        raise NpyFormatError(f"shape {shape!r} at byte 10 is not representable: {err}") from err
     return NpyArray(descr=descr, shape=tuple(shape), fortran_order=fortran_order, array=array)

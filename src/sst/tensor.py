@@ -21,21 +21,25 @@ exact but cheap: it sums the array first, and a finite sum proves every
 element finite; only a non-finite sum (a NaN or Inf, or a sum that merely
 overflows) pays for the elementwise test.
 
-A matmul of a batched ``a [.., M, K]`` by a 2-D ``b [K, N]`` runs forward and
-backward as single 2-D GEMMs over ``a``'s flattened leading axes, so the
-weight gradient is one ``[K, N]`` product.  Four fused ops each record one
-tape node with a hand-written backward in place of a chain of elementwise
-nodes: ``linear`` (``x @ w + b``), ``layer_norm`` (normalize the trailing
-axis, then scale and shift), ``sum_of_squares`` (the L2 penalty over a list
-of weight tensors) and ``attention`` (multi-head scaled dot-product
-attention from the query, key and value projections to the merged context).
+The registered ops, listed in ``OPS``, are the ones the model and its
+training loop call: ``matmul``, five fused ops, ``add``, ``mul``, ``div``,
+``sigmoid``, ``relu`` and ``sum``.  A matmul of a batched ``a [.., M, K]`` by
+a 2-D ``b [K, N]`` runs forward and backward as single 2-D GEMMs over
+``a``'s flattened leading axes, so the weight gradient is one ``[K, N]``
+product.  The five fused ops each record one tape node with a hand-written
+backward in place of a chain of elementwise nodes: ``linear``
+(``x @ w + b``), ``layer_norm`` (normalize the trailing axis, then scale and
+shift), ``sum_of_squares`` (the L2 penalty over a list of weight tensors),
+``attention`` (multi-head scaled dot-product attention from the query, key
+and value projections to the merged context) and ``multitask_nll`` (the
+class-weighted multi-task loss with optional uncertainty weighting).
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,23 +54,13 @@ __all__ = [
     "layer_norm",
     "sum_of_squares",
     "attention",
+    "multitask_nll",
     "add",
-    "sub",
     "mul",
     "div",
-    "neg",
-    "scale",
-    "exp",
-    "log",
-    "sqrt",
     "sigmoid",
     "relu",
-    "clip",
-    "softmax",
     "reduce_sum",
-    "reduce_mean",
-    "reshape",
-    "transpose",
     "backward",
     "no_grad",
     "grad_check",
@@ -93,25 +87,17 @@ OPS = (
     "layer_norm",
     "sum_of_squares",
     "attention",
+    "multitask_nll",
     "add",
-    "sub",
     "mul",
     "div",
-    "neg",
-    "scale",
-    "exp",
-    "log",
-    "sqrt",
     "sigmoid",
     "relu",
-    "clip",
-    "softmax",
     "sum",
-    "mean",
-    "reshape",
-    "transpose",
-    "getitem",
 )
+
+# multitask_nll clamps probabilities into [PROB_FLOOR, 1 - PROB_FLOOR]
+PROB_FLOOR = 1e-12
 
 
 # False inside ``no_grad``: ops then record no tape.
@@ -221,12 +207,6 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -239,28 +219,11 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __getitem__(self, key):
-        return getitem(self, key)
-
     def sum(self, axis=None, keepdims: bool = False):
         return reduce_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return reduce_mean(self, axis, keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
 
     def backward(self) -> None:
         backward(self)
@@ -404,9 +367,9 @@ def attention(q, k, v, penalty, n_heads: int, return_weights: bool = False):
     ``return_weights`` it also returns a copy of the ``[B, h, T, T]``
     softmax weights.
 
-    The arithmetic is that of the composite of split-head transposes,
-    batched matmuls, scale, add and softmax it replaces, in the same order,
-    so values match it bit for bit.  The scaled scores are checked like an
+    The arithmetic is that of the plain composite of split-head
+    transposes, batched matmuls, scaling, the penalty add and a
+    max-subtracted softmax, in that order, so values match it bit for bit.  The scaled scores are checked like an
     op output.  Backward keeps only the head-split inputs and the weights.
     """
     q, k, v = _ensure_tensor(q), _ensure_tensor(k), _ensure_tensor(v)
@@ -461,6 +424,71 @@ def attention(q, k, v, penalty, n_heads: int, return_weights: bool = False):
     return (result, w.copy()) if return_weights else result
 
 
+def multitask_nll(probs, labels, label_mask, w, log_var=None) -> Tensor:
+    """Class-weighted multi-task negative log-likelihood as one tape node.
+
+    ``probs`` and ``labels`` are ``[B, 2m]`` with (negative, positive)
+    column pairs, ``label_mask [B, m]`` marks the measured tasks and
+    ``w [m, 2]`` holds the class weights.  Each pair of ``probs`` is clamped
+    to ``[PROB_FLOOR, 1 - PROB_FLOOR]`` and normalized to sum to 1.  For
+    task j and label t, ``J_jt`` is the sum over the batch of
+    ``-w_jt * label * mask * log p``, divided by the number of samples
+    that measured task j (at least 1).  The result is ``sum J``, or, with a
+    ``log_var [m, 2]`` of s = log(sigma^2), the homoscedastic uncertainty
+    weighting ``sum exp(-s) J + s/2`` of Kendall, Gal & Cipolla (2018).
+    Only ``probs`` and ``log_var`` receive gradients.
+
+    Forward and backward repeat, in order, the numpy expressions of the
+    chain of clip, reshape, sum, div, log, mul, neg, exp and scale nodes
+    this op replaced, so values and gradients match that chain bit for bit.
+    Arithmetic that can overflow runs with numpy's warnings off, so a
+    non-finite result is reported by the finiteness check naming this op.
+    """
+    probs = _ensure_tensor(probs)
+    log_var = None if log_var is None else _ensure_tensor(log_var)
+    labels, mask, w = (np.asarray(a, dtype=np.float64) for a in (labels, label_mask, w))
+    if probs.ndim != 2 or probs.shape[1] % 2:
+        raise ShapeMismatchError(f"multitask_nll: probs must be [B, 2m], got {probs.shape}")
+    n, width = probs.shape
+    m = width // 2
+    if (labels.shape != (n, width) or mask.shape != (n, m) or w.shape != (m, 2)
+            or (log_var is not None and log_var.shape != (m, 2))):
+        raise ShapeMismatchError(
+            f"multitask_nll: inconsistent shapes probs {probs.shape}, labels {labels.shape}, "
+            f"label_mask {mask.shape}, w {w.shape}, "
+            f"log_var {None if log_var is None else log_var.shape}"
+        )
+    inside = (probs.data >= PROB_FLOOR) & (probs.data <= 1.0 - PROB_FLOOR)
+    pairs = np.clip(probs.data, PROB_FLOOR, 1.0 - PROB_FLOOR).reshape(n, m, 2)
+    pair_sum = pairs.sum(axis=2, keepdims=True)
+    p = pairs / pair_sum
+    coef = labels * np.repeat(mask, 2, axis=1) * w.reshape(-1)[None, :]
+    present = np.repeat(np.maximum(mask.sum(axis=0), 1.0), 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_jt = -(np.log(p).reshape(n, width) * coef).sum(axis=0) / present
+        if log_var is None:
+            total = per_jt.sum()
+        else:
+            s = log_var.data.reshape(2 * m)
+            e = np.exp(-s)
+            total = (e * per_jt + s * 0.5).sum()
+
+    def bwd(g: np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if log_var is None:
+                g_jt = g
+            else:
+                g_jt = g * e
+                g_s = (g * 0.5 + -((g * per_jt) * e)).reshape(m, 2)
+            g_p = (-(g_jt / present) * coef).reshape(n, m, 2) / p
+            g_sum = ((-g_p * pairs) / (pair_sum * pair_sum)).sum(axis=(2,), keepdims=True)
+            g_probs = (g_p / pair_sum + g_sum).reshape(n, width) * inside
+        return (g_probs,) if log_var is None else (g_probs, g_s)
+
+    parents = (probs,) if log_var is None else (probs, log_var)
+    return Tensor._from_op(np.asarray(total), "multitask_nll", parents, bwd)
+
+
 # -- elementwise -------------------------------------------------------
 
 
@@ -473,18 +501,10 @@ def add(a, b) -> Tensor:
     )
 
 
-def sub(a, b) -> Tensor:
-    a, b = _ensure_tensor(a), _ensure_tensor(b)
-    out = a.data - b.data
-    return Tensor._from_op(
-        out, "sub", (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-    )
-
-
 def mul(a, b) -> Tensor:
     a, b = _ensure_tensor(a), _ensure_tensor(b)
-    out = a.data * b.data
+    with np.errstate(over="ignore"):
+        out = a.data * b.data
     return Tensor._from_op(
         out, "mul", (a, b),
         lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
@@ -505,45 +525,6 @@ def div(a, b) -> Tensor:
     return Tensor._from_op(out, "div", (a, b), bwd)
 
 
-def neg(x) -> Tensor:
-    x = _ensure_tensor(x)
-    return Tensor._from_op(-x.data, "neg", (x,), lambda g: (-g,))
-
-
-def scale(x, factor: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    x = _ensure_tensor(x)
-    c = float(factor)
-    return Tensor._from_op(x.data * c, "scale", (x,), lambda g: (g * c,))
-
-
-def exp(x) -> Tensor:
-    x = _ensure_tensor(x)
-    with np.errstate(over="ignore"):
-        out = np.exp(x.data)
-    return Tensor._from_op(out, "exp", (x,), lambda g: (g * out,))
-
-
-def log(x) -> Tensor:
-    x = _ensure_tensor(x)
-    if np.any(x.data <= 0.0):
-        raise DomainError("log: input must be strictly positive")
-    out = np.log(x.data)
-    return Tensor._from_op(out, "log", (x,), lambda g: (g / x.data,))
-
-
-def sqrt(x) -> Tensor:
-    x = _ensure_tensor(x)
-    if np.any(x.data < 0.0):
-        raise DomainError("sqrt: input must be non-negative")
-    out = np.sqrt(x.data)
-
-    def bwd(g: np.ndarray):
-        return (g / (2.0 * out),)
-
-    return Tensor._from_op(out, "sqrt", (x,), bwd)
-
-
 def sigmoid(x) -> Tensor:
     """Numerically stable logistic function; output lies in [0, 1]."""
     x = _ensure_tensor(x)
@@ -561,30 +542,7 @@ def relu(x) -> Tensor:
     return Tensor._from_op(np.where(mask, x.data, 0.0), "relu", (x,), lambda g: (g * mask,))
 
 
-def clip(x, lo: float, hi: float) -> Tensor:
-    """Clamp values into [lo, hi]; gradient is 1 inside the interval, 0 outside."""
-    x = _ensure_tensor(x)
-    out = np.clip(x.data, lo, hi)
-    mask = (x.data >= lo) & (x.data <= hi)
-    return Tensor._from_op(out, "clip", (x,), lambda g: (g * mask,))
-
-
-# -- softmax and reductions --------------------------------------------
-
-
-def softmax(x, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``, computed with max-subtraction for stability."""
-    x = _ensure_tensor(x)
-    axis = _norm_axis(axis, x.ndim, "softmax")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g: np.ndarray):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return Tensor._from_op(out, "softmax", (x,), bwd)
+# -- reductions --------------------------------------------------------
 
 
 def _norm_axis(axis: int, ndim: int, op: str) -> int:
@@ -619,52 +577,6 @@ def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
         return (np.ascontiguousarray(_expand_reduced(g, x.shape, axis, keepdims)),)
 
     return Tensor._from_op(np.asarray(out), "sum", (x,), bwd)
-
-
-def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = _ensure_tensor(x)
-    if axis is not None:
-        axis = _norm_axis(axis, x.ndim, "mean")
-    _check_nonempty(x, axis, "mean")
-    n = x.size if axis is None else x.shape[axis]
-    out = x.data.mean(axis=axis, keepdims=keepdims)
-
-    def bwd(g: np.ndarray):
-        return (np.ascontiguousarray(_expand_reduced(g, x.shape, axis, keepdims)) / n,)
-
-    return Tensor._from_op(np.asarray(out), "mean", (x,), bwd)
-
-
-# -- shape ops ---------------------------------------------------------
-
-
-def reshape(x, shape) -> Tensor:
-    x = _ensure_tensor(x)
-    out = x.data.reshape(shape)
-    return Tensor._from_op(out, "reshape", (x,), lambda g: (g.reshape(x.shape),))
-
-
-def transpose(x, axes=None) -> Tensor:
-    x = _ensure_tensor(x)
-    if axes is None:
-        axes = tuple(range(x.ndim))[::-1]
-    axes = tuple(axes)
-    inverse = tuple(int(i) for i in np.argsort(axes))
-    out = x.data.transpose(axes)
-    return Tensor._from_op(out, "transpose", (x,), lambda g: (g.transpose(inverse),))
-
-
-def getitem(x, key) -> Tensor:
-    """Basic (slice/int) indexing; gradient scatters back into place."""
-    x = _ensure_tensor(x)
-    out = x.data[key]
-
-    def bwd(g: np.ndarray):
-        gx = np.zeros_like(x.data)
-        gx[key] = g
-        return (gx,)
-
-    return Tensor._from_op(np.asarray(out), "getitem", (x,), bwd)
 
 
 # -- backward pass -----------------------------------------------------

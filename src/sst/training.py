@@ -8,7 +8,9 @@ over the samples where task j was measured.  With uncertainty weighting
 each partial is scaled by exp(-s_jt) and regularized by s_jt/2, where
 s = log(sigma^2) is trainable and starts at 0 so both variants coincide
 at initialization.  An L2 penalty over dense/projection weights (never
-biases or norm gains) is added when l2_factor > 0.
+biases or norm gains) is added when l2_factor > 0.  The loss is one
+``tensor.multitask_nll`` tape node; with the penalty it is four (the op,
+``sum_of_squares``, the factor's ``mul`` and the ``add``).
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from sst.model import SstConfig, SstModel, pair_probabilities
 from sst.tensor import NumericsError, Tensor
 
 logger = logging.getLogger("sst.training")
-
-PROB_FLOOR = 1e-12
 
 
 class DivergenceError(ArithmeticError):
@@ -84,7 +84,8 @@ class TaskWeights:
 def weighted_multitask_loss(probs, labels, label_mask, tw: TaskWeights,
                             use_uncertainty: bool,
                             l2_params=(), l2_factor: float = 0.0) -> Tensor:
-    """Scalar training objective over a batch.
+    """Scalar training objective over a batch: the ``multitask_nll`` op plus
+    the L2 penalty.
 
     probs/labels are [B, 2m] with (neg, pos) column pairs; label_mask is
     [B, m].  Each pair of raw sigmoid heads is normalized to a proper
@@ -94,42 +95,17 @@ def weighted_multitask_loss(probs, labels, label_mask, tw: TaskWeights,
     interval (0, 1) are clamped to [1e-12, 1-1e-12] and the event logged.
     """
     probs = probs if isinstance(probs, Tensor) else Tensor(probs)
-    labels_data = labels.data if isinstance(labels, Tensor) else np.asarray(labels, dtype=np.float64)
-    mask_data = label_mask.data if isinstance(label_mask, Tensor) else np.asarray(label_mask, dtype=np.float64)
-
-    n, width = probs.shape
-    m = width // 2
-    if labels_data.shape != (n, width) or mask_data.shape != (n, m):
-        raise ValueError(
-            f"inconsistent loss inputs: probs {probs.shape}, labels "
-            f"{labels_data.shape}, label_mask {mask_data.shape}"
-        )
-
     if np.any((probs.data <= 0.0) | (probs.data >= 1.0)):
         logger.warning(
             "predicted probabilities outside (0,1) clamped to [%g, %g]",
-            PROB_FLOOR, 1.0 - PROB_FLOOR,
+            T.PROB_FLOOR, 1.0 - T.PROB_FLOOR,
         )
-    clipped = T.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    pairs = clipped.reshape(n, m, 2)
-    normalized = pairs / pairs.sum(axis=2, keepdims=True)
-    logp = T.log(normalized.reshape(n, width))
-
-    # constant coefficient: presence mask * class weight * one-hot label
-    mask_rep = np.repeat(mask_data, 2, axis=1)
-    coef = labels_data * mask_rep * tw.w.reshape(-1)[None, :]
-    present = np.maximum(mask_data.sum(axis=0), 1.0)  # per-task sample count
-    per_jt = T.neg(T.reduce_sum(logp * Tensor(coef), axis=0)) / Tensor(np.repeat(present, 2))
-
-    if use_uncertainty:
-        s = tw.log_var.reshape(2 * m)
-        total = T.reduce_sum(T.exp(T.neg(s)) * per_jt + T.scale(s, 0.5))
-    else:
-        total = T.reduce_sum(per_jt)
-
+    labels, label_mask = (a.data if isinstance(a, Tensor) else a for a in (labels, label_mask))
+    total = T.multitask_nll(probs, labels, label_mask, tw.w,
+                            tw.log_var if use_uncertainty else None)
     l2_params = tuple(l2_params)
     if l2_factor > 0.0 and l2_params:
-        total = total + T.scale(T.sum_of_squares(l2_params), l2_factor)
+        total = total + T.sum_of_squares(l2_params) * l2_factor
     return total
 
 
@@ -170,14 +146,18 @@ class Adam:
         self.v = [np.zeros_like(p.data) for _, p in params]
 
     def step(self, lr: float) -> None:
+        """One update of every parameter that has a gradient.  All gradients
+        are checked first, so a non-finite one raises before any parameter,
+        moment or the step count changes."""
+        for name, p in self.params:
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise NumericsError(f"non-finite gradient for parameter '{name}'")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, (name, p) in enumerate(self.params):
+        for i, (_, p) in enumerate(self.params):
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
-                raise NumericsError(f"non-finite gradient for parameter '{name}'")
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
             m_hat = self.m[i] / (1.0 - b1 ** self.t)
@@ -251,8 +231,8 @@ def _validate(model: SstModel, batch: Batch, tw: TaskWeights):
             raw, batch.labels, batch.label_mask, tw,
             model.config.uncertainty_weighting,
         )
-        probas = pair_probabilities(raw)
-    return loss.item(), M.task_aucs(probas.data, batch.labels.data, batch.label_mask.data)
+    probas = pair_probabilities(raw.data)
+    return loss.item(), M.task_aucs(probas, batch.labels.data, batch.label_mask.data)
 
 
 def fit(model: SstModel, train: Batch, val: Batch, *,

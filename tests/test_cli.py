@@ -146,6 +146,17 @@ class TestTrain:
         assert code == 2
         assert "train_x.npy" in capsys.readouterr().err
 
+    def test_malformed_npy_header_exits_2(self, dataset, tmp_path, capsys):
+        """A header dict with an unhashable key is a format error naming the
+        byte, not a traceback."""
+        x_path = dataset.parent / "train_x.npy"
+        text = b"{[1]: 2}\n"
+        x_path.write_bytes(b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text)
+        code = run(["train", "--manifest", str(dataset), "--set", "dmodel=8",
+                    "--epochs-max", "1", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "byte 10" in capsys.readouterr().err
+
     def test_divergence_exits_3_and_logs_last_epoch(self, dataset, tmp_path,
                                                     capsys, monkeypatch):
         import sst.cli as cli_mod

@@ -1,11 +1,16 @@
 """End-to-end model: shapes, purity, pair normalization, padding invariance,
 checkpoint round trips."""
 
+import functools
 import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sst.model import (
     CheckpointError,
@@ -15,7 +20,7 @@ from sst.model import (
     pair_probabilities,
     save_weights,
 )
-from sst.tensor import ShapeMismatchError, Tensor, grad_check
+from sst.tensor import DomainError, ShapeMismatchError, Tensor, grad_check
 
 TINY = dict(n_features=5, max_timesteps=4, n_tasks=2, n_layers=1,
             dmodel=8, dff=8, n_heads=2, dropout_rate=0.0)
@@ -24,6 +29,14 @@ TINY = dict(n_features=5, max_timesteps=4, n_tasks=2, n_layers=1,
 def tiny_model(seed=0, **overrides):
     cfg = SstConfig(**{**TINY, **overrides, "seed": seed})
     return SstModel(cfg)
+
+
+@functools.lru_cache(maxsize=None)
+def _checkpoint_blob() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_weights(tiny_model(seed=2), path)
+        return path.read_bytes()
 
 
 def logit(p):
@@ -170,19 +183,25 @@ class TestPredictProba:
         assert p.shape == (6, 2)
         assert np.all((p > 0) & (p < 1))
 
+    def test_pair_of_zero_heads_is_a_domain_error(self):
+        """Both sigmoid heads of a pair underflow to 0 below a logit of about
+        -745; their ratio is undefined and must not become a NaN."""
+        with pytest.raises(DomainError, match="sums to zero"):
+            pair_probabilities(np.array([[0.2, 0.6, 0.0, 0.0]]))
+
     def test_runs_without_a_tape(self):
         """The tape-free result has no parents and equals, bit for bit, the
-        same computation recorded on a tape."""
+        head pairs of a forward pass recorded on a tape."""
         model = tiny_model(n_layers=2)
         rng = np.random.default_rng(8)
         x = rng.normal(size=(5, 4, 5))
         mask = np.zeros((5, 4))
         mask[2, 3] = 1.0
         p = model.predict_proba(x, mask)
-        taped = pair_probabilities(model.forward(x, mask))
+        taped = model.forward(x, mask)
         assert p._parents == () and not p.requires_grad
         assert taped._parents != ()
-        np.testing.assert_array_equal(p.data, taped.data)
+        np.testing.assert_array_equal(p.data, pair_probabilities(taped.data))
 
 
 class TestPaddingInvariance:
@@ -301,6 +320,33 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(CheckpointError, match="trailing"):
             load_weights(path)
+
+    def test_non_finite_parameter_names_it_and_its_offset(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_weights(tiny_model(), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+        with pytest.raises(CheckpointError, match=rf"'mlp.2.bias' at offset {len(blob) - 8}"):
+            load_weights(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_truncated_or_corrupted_checkpoint_loads_finite_or_raises(self, data):
+        """Any truncation or single-byte change of a valid checkpoint either
+        loads with every parameter finite or raises CheckpointError."""
+        blob = bytearray(_checkpoint_blob())
+        if data.draw(st.booleans()):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzzed.ckpt"
+            path.write_bytes(bytes(blob))
+            try:
+                model = load_weights(path)
+            except CheckpointError:
+                return
+        assert all(np.all(np.isfinite(p.data)) for _, p in model.parameters())
 
     def test_output_width_is_twice_tasks(self):
         model = tiny_model()

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sst.npyio import NpyFormatError, read_npy, write_npy
+from sst.npyio import NpyFormatError, parse_npy, read_npy, write_npy
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -102,3 +104,53 @@ def test_mangled_header_dict(tmp_path):
 def test_write_rejects_int_array(tmp_path):
     with pytest.raises(NpyFormatError, match="dtype"):
         write_npy(np.arange(4), tmp_path / "i.npy")
+
+
+def _with_header(header: str, data: bytes) -> bytes:
+    """An NPY v1.0 blob with the given header dict text and data bytes."""
+    text = header.encode("latin1") + b"\n"
+    return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text + data
+
+
+@pytest.mark.parametrize("header", [
+    "{[1]: 2}",
+    "{'descr': [1], 'fortran_order': False, 'shape': (1,), }",
+])
+def test_unhashable_header_key_is_a_format_error(header):
+    with pytest.raises(NpyFormatError, match="byte 10"):
+        parse_npy(_with_header(header, b""))
+
+
+def test_shape_whose_int64_product_wraps_is_a_format_error():
+    """274177 * 67280421310721 is 2**64 + 1, which wraps to 1 in int64 and
+    would match 8 data bytes."""
+    header = "{'descr': '<f8', 'fortran_order': False, 'shape': (274177, 67280421310721), }"
+    with pytest.raises(NpyFormatError, match="data bytes"):
+        parse_npy(_with_header(header, b"\x00" * 8))
+
+
+def test_empty_shape_beyond_numpy_limits_is_a_format_error():
+    header = "{'descr': '<f8', 'fortran_order': False, 'shape': (0, 4611686018427387904), }"
+    with pytest.raises(NpyFormatError, match="shape"):
+        parse_npy(_with_header(header, b""))
+
+
+def _valid_npy() -> bytes:
+    header = "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 3), }"
+    return _with_header(header, np.arange(6.0).tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_truncated_or_corrupted_npy_parses_or_raises_format_error(data):
+    """Any truncation or single-byte change of a valid file either parses or
+    raises NpyFormatError, never another exception."""
+    blob = bytearray(_valid_npy())
+    if data.draw(st.booleans()):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    try:
+        parse_npy(bytes(blob))
+    except NpyFormatError:
+        pass

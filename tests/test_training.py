@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from sst import tensor as T
 from sst import training as TR
 from sst.data import Batch, label_counts, synth_dataset
 from sst.model import SstConfig, SstModel
@@ -264,6 +265,24 @@ class TestAdam:
         with pytest.raises(NumericsError, match="embedding.weight"):
             Adam([("embedding.weight", p)]).step(0.01)
 
+    def test_non_finite_gradient_leaves_every_state_unchanged(self):
+        """The check runs before any update: a finite gradient on parameter 0
+        and an inf on parameter 1 change neither parameter 0, its moments nor
+        the step count."""
+        p0 = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        p1 = Tensor(np.array([3.0]), requires_grad=True)
+        adam = Adam([("p0", p0), ("p1", p1)])
+        p0.grad, p1.grad = np.array([0.5, -0.5]), np.array([1.0])
+        adam.step(0.01)
+        before = (p0.data.copy(), adam.m[0].copy(), adam.v[0].copy(), adam.t)
+        p0.grad, p1.grad = np.array([0.25, 0.25]), np.array([np.inf])
+        with pytest.raises(NumericsError, match="'p1'"):
+            adam.step(0.01)
+        np.testing.assert_array_equal(p0.data, before[0])
+        np.testing.assert_array_equal(adam.m[0], before[1])
+        np.testing.assert_array_equal(adam.v[0], before[2])
+        assert adam.t == before[3]
+
     def test_update_signs_invariant_to_loss_scale(self):
         rng = np.random.default_rng(13)
         g = rng.normal(size=(4, 3))
@@ -383,6 +402,42 @@ class TestFit:
         assert rows[0] == ["epoch", "train_loss", "val_loss", "auc_task_0", "auc_task_1"]
         assert len(rows) == 1 + len(report.epochs)
         assert int(rows[1][0]) == 1
+
+
+def tape_ops(root: Tensor) -> list[str]:
+    """The op name of every tape node reachable from ``root``."""
+    seen, stack, ops = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node._op is not None:
+                ops.append(node._op)
+            stack.extend(node._parents)
+    return ops
+
+
+class TestTape:
+    def test_every_registered_op_is_on_a_training_tape(self):
+        """One training step of a one-block model with dropout, uncertainty
+        weighting and L2 records every op in T.OPS and no other, so no op
+        stays registered without a pipeline caller.  The node count is
+        pinned: 3 embedding, 14 per block, 3 pooling, 8 head, 4 loss."""
+        data = small_data()
+        cfg = small_config(uncertainty_weighting=True, l2_factor=1e-4)
+        model = SstModel(cfg)
+        tw = TaskWeights.from_counts(
+            label_counts(data.train.labels.data, data.train.label_mask.data), 2)
+        batch = data.train.take(np.arange(cfg.batch_size))
+        probs = model.forward(batch.x, batch.pad_mask.data, training=True,
+                              rng=np.random.default_rng(0))
+        loss = weighted_multitask_loss(probs, batch.labels, batch.label_mask, tw, True,
+                                       model.l2_parameters(), cfg.l2_factor)
+        loss.backward()
+        ops = tape_ops(loss)
+        assert set(ops) == set(T.OPS)
+        assert len(ops) == 32
+        assert ops.count("multitask_nll") == 1 and tw.log_var.grad is not None
 
 
 class TestGridSearch:
