@@ -16,28 +16,34 @@ nothing refers to them.  Inference runs this way.
 All values are 64-bit floats in row-major order.  Broadcasting follows the
 conventional trailing-dimension alignment.  Any op that produces a NaN or Inf
 raises :class:`NumericsError` immediately, naming the op, with or without a
-tape; silent propagation would poison every downstream result.  The check is
-exact but cheap: it sums the array first, and a finite sum proves every
-element finite; only a non-finite sum (a NaN or Inf, or a sum that merely
-overflows) pays for the elementwise test.
+tape; silent propagation would poison every downstream result.  One
+registration, ``_op``, keeps that promise for every op in ``OPS``, the
+registry of ops by name: it runs the op under ``np.errstate(all="ignore")``
+and checks its output, and ``backward`` runs every backward closure under
+one such ``errstate`` and checks each gradient as ``backward[op]``.  The
+check is exact but cheap: it sums the array first, and a finite sum proves
+every element finite; only a non-finite sum (a NaN or Inf, or a sum that
+merely overflows) pays for the elementwise test.  It reads values, not IEEE
+status flags, which OpenBLAS loses for the rows a worker thread computes.
 
-The registered ops, listed in ``OPS``, are the ones the model and its
-training loop call: ``matmul``, five fused ops, ``add``, ``mul``, ``div``,
-``sigmoid``, ``relu`` and ``sum``.  A matmul of a batched ``a [.., M, K]`` by
-a 2-D ``b [K, N]`` runs forward and backward as single 2-D GEMMs over
-``a``'s flattened leading axes, so the weight gradient is one ``[K, N]``
-product.  The five fused ops each record one tape node with a hand-written
-backward in place of a chain of elementwise nodes: ``linear``
-(``x @ w + b``), ``layer_norm`` (normalize the trailing axis, then scale and
-shift), ``sum_of_squares`` (the L2 penalty over a list of weight tensors),
-``attention`` (multi-head scaled dot-product attention from the query, key
-and value projections to the merged context) and ``multitask_nll`` (the
-class-weighted multi-task loss with optional uncertainty weighting).
+The registered ops are the ones the model and its training loop call:
+``matmul``, five fused ops, ``add``, ``mul``, ``div``, ``sigmoid``, ``relu``
+and ``sum``.  ``matmul`` multiplies ``a [.., M, K]`` by a 2-D ``b [K, N]``
+as single 2-D GEMMs over ``a``'s flattened leading axes, forward and
+backward, so the weight gradient is one ``[K, N]`` product.  The five fused
+ops each record one tape node with a hand-written backward in place of a
+chain of elementwise nodes: ``linear`` (``x @ w + b``), ``layer_norm``
+(normalize the trailing axis, then scale and shift), ``sum_of_squares``
+(the L2 penalty over a list of weight tensors), ``attention`` (multi-head
+scaled dot-product attention from the query, key and value projections to
+the merged context) and ``multitask_nll`` (the class-weighted multi-task
+loss with optional uncertainty weighting).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -79,22 +85,10 @@ class NumericsError(ArithmeticError):
     """An op produced NaN or Inf."""
 
 
-# Names of the differentiable ops this module registers; the test suite
-# sweeps this list with grad_check so new ops cannot dodge verification.
-OPS = (
-    "matmul",
-    "linear",
-    "layer_norm",
-    "sum_of_squares",
-    "attention",
-    "multitask_nll",
-    "add",
-    "mul",
-    "div",
-    "sigmoid",
-    "relu",
-    "sum",
-)
+# The differentiable ops by name, each entered by its ``_op`` registration;
+# the test suite sweeps them with grad_check so new ops cannot dodge
+# verification.
+OPS: dict[str, Callable[..., Tensor]] = {}
 
 # multitask_nll clamps probabilities into [PROB_FLOOR, 1 - PROB_FLOOR]
 PROB_FLOOR = 1e-12
@@ -151,30 +145,6 @@ class Tensor:
         self._op: str | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._bwd: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
-
-    # -- construction of op outputs ------------------------------------
-
-    @staticmethod
-    def _from_op(
-        data: np.ndarray,
-        op: str,
-        parents: tuple["Tensor", ...],
-        bwd: Callable[[np.ndarray], Sequence[np.ndarray | None]],
-    ) -> "Tensor":
-        _check_finite(data, op)
-        out = Tensor.__new__(Tensor)
-        out.data = np.ascontiguousarray(data, dtype=np.float64)
-        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
-        out.grad = None
-        if out.requires_grad:
-            out._op = op
-            out._parents = parents
-            out._bwd = bwd
-        else:
-            out._op = None
-            out._parents = ()
-            out._bwd = None
-        return out
 
     # -- basic properties ----------------------------------------------
 
@@ -246,51 +216,69 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _op(name: str):
+    """Register an op body under ``name`` in ``OPS``.
+
+    The body checks its arguments and returns ``(output, parents, backward)``,
+    optionally followed by extra values that the op returns after its output
+    tensor.  It runs with numpy's floating-point warnings off, so an
+    overflow, invalid operation or division by zero reaches the finiteness
+    check of the output, which raises :class:`NumericsError` naming the op.
+    The output records its parents and backward closure only while the tape
+    is on and some parent requires a gradient."""
+    def register(body):
+        @functools.wraps(body)
+        def op(*args, **kwargs):
+            with np.errstate(all="ignore"):
+                data, parents, bwd, *extra = body(*args, **kwargs)
+            _check_finite(data, name)
+            out = Tensor.__new__(Tensor)
+            out.data = np.ascontiguousarray(data, dtype=np.float64)
+            out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+            out.grad = None
+            if out.requires_grad:
+                out._op, out._parents, out._bwd = name, parents, bwd
+            else:
+                out._op, out._parents, out._bwd = None, (), None
+            return (out, *extra) if extra else out
+
+        OPS[name] = op
+        return op
+
+    return register
+
+
 # -- linear algebra ----------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    """Batched matrix product of ``a [.., M, K]`` and ``b [.., K, N]``."""
+@_op("matmul")
+def matmul(a, b):
+    """Matrix product of ``a [.., M, K]`` and a 2-D ``b [K, N]``."""
     a, b = _ensure_tensor(a), _ensure_tensor(b)
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    if b.ndim == 2:
-        return _affine(a, b, None, "matmul")
-    try:
-        with np.errstate(over="ignore"):
-            out = np.matmul(a.data, b.data)
-    except ValueError as err:
-        raise ShapeMismatchError(
-            f"matmul: incompatible shapes {a.shape} and {b.shape}"
-        ) from err
-
-    def bwd(g: np.ndarray):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        return ga, gb
-
-    return Tensor._from_op(out, "matmul", (a, b), bwd)
+    return _affine(a, b, None)
 
 
-def linear(x, w, b) -> Tensor:
+@_op("linear")
+def linear(x, w, b):
     """Affine map ``x [.., K] @ w [K, N] + b [N]`` as one tape node."""
     x, w, b = _ensure_tensor(x), _ensure_tensor(w), _ensure_tensor(b)
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeMismatchError(
             f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}"
         )
-    return _affine(x, w, b, "linear")
+    return _affine(x, w, b)
 
 
-def _affine(x: Tensor, w: Tensor, b: Tensor | None, op: str) -> Tensor:
-    """``x @ w`` (plus ``b``) for a 2-D ``w``, with ``x``'s leading axes
-    flattened so that forward and backward are each one 2-D GEMM and the
-    weight gradient is the single product ``x2d.T @ g2d``."""
+def _affine(x: Tensor, w: Tensor, b: Tensor | None):
+    """The body of ``x @ w`` (plus ``b``) for a 2-D ``w``, with ``x``'s
+    leading axes flattened so that forward and backward are each one 2-D
+    GEMM and the weight gradient is the single product ``x2d.T @ g2d``."""
     x2 = x.data.reshape(-1, x.shape[-1])
-    with np.errstate(over="ignore"):
-        out = x2 @ w.data
-        if b is not None:
-            out += b.data
+    out = x2 @ w.data
+    if b is not None:
+        out += b.data
 
     def bwd(g: np.ndarray):
         g2 = g.reshape(-1, w.shape[1])
@@ -299,10 +287,11 @@ def _affine(x: Tensor, w: Tensor, b: Tensor | None, op: str) -> Tensor:
         return grads if b is None else grads + (g2.sum(axis=0),)
 
     parents = (x, w) if b is None else (x, w, b)
-    return Tensor._from_op(out.reshape(x.shape[:-1] + (w.shape[1],)), op, parents, bwd)
+    return out.reshape(x.shape[:-1] + (w.shape[1],)), parents, bwd
 
 
-def layer_norm(x, gain, bias, eps: float) -> Tensor:
+@_op("layer_norm")
+def layer_norm(x, gain, bias, eps: float):
     """Normalize the trailing axis to zero mean and unit variance, then scale
     by ``gain`` and shift by ``bias`` (both of the trailing width).
 
@@ -318,14 +307,12 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
         )
     if not eps > 0.0:
         raise DomainError(f"layer_norm: eps must be positive, got {eps}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = x.data - x.data.mean(axis=-1, keepdims=True)
-        var = (centered * centered).mean(axis=-1, keepdims=True)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
     _check_finite(var, "layer_norm")
     std = np.sqrt(var + eps)
     normed = centered / std
-    with np.errstate(over="ignore"):
-        out = normed * gain.data + bias.data
+    out = normed * gain.data + bias.data
 
     def bwd(g: np.ndarray):
         g_normed = g * gain.data
@@ -337,24 +324,25 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
         lead = tuple(range(g.ndim - 1))
         return gx, (g * normed).sum(axis=lead), g.sum(axis=lead)
 
-    return Tensor._from_op(out, "layer_norm", (x, gain, bias), bwd)
+    return out, (x, gain, bias), bwd
 
 
-def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
+@_op("sum_of_squares")
+def sum_of_squares(tensors: Sequence[Tensor]):
     """Scalar ``sum_i sum(t_i * t_i)`` over several tensors as one tape node,
     with the per-tensor sums added in the given order."""
     tensors = tuple(_ensure_tensor(t) for t in tensors)
     if not tensors:
         raise DomainError("sum_of_squares: needs at least one tensor")
-    with np.errstate(over="ignore"):
-        total = sum((t.data * t.data).sum() for t in tensors)
+    total = sum((t.data * t.data).sum() for t in tensors)
 
     def bwd(g: np.ndarray):
         return tuple((2.0 * g) * t.data for t in tensors)
 
-    return Tensor._from_op(np.asarray(total), "sum_of_squares", tensors, bwd)
+    return np.asarray(total), tensors, bwd
 
 
+@_op("attention")
 def attention(q, k, v, penalty, n_heads: int, return_weights: bool = False):
     """Multi-head scaled dot-product attention as one tape node.
 
@@ -369,8 +357,9 @@ def attention(q, k, v, penalty, n_heads: int, return_weights: bool = False):
 
     The arithmetic is that of the plain composite of split-head
     transposes, batched matmuls, scaling, the penalty add and a
-    max-subtracted softmax, in that order, so values match it bit for bit.  The scaled scores are checked like an
-    op output.  Backward keeps only the head-split inputs and the weights.
+    max-subtracted softmax, in that order, so values match it bit for bit.
+    The scaled scores are checked like an op output.  Backward keeps only
+    the head-split inputs and the weights.
     """
     q, k, v = _ensure_tensor(q), _ensure_tensor(k), _ensure_tensor(v)
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % n_heads:
@@ -400,9 +389,8 @@ def attention(q, k, v, penalty, n_heads: int, return_weights: bool = False):
     k4t = np.ascontiguousarray(
         k.data.reshape(batch, length, n_heads, d_k).transpose(0, 2, 3, 1)
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.matmul(q4, k4t)
-        w *= c
+    w = np.matmul(q4, k4t)
+    w *= c
     _check_finite(w, "attention")
     w += penalty[:, None, None, :]
     w -= w.max(axis=-1, keepdims=True)
@@ -420,11 +408,13 @@ def attention(q, k, v, penalty, n_heads: int, return_weights: bool = False):
         gk = np.matmul(q4.transpose(0, 1, 3, 2), gs).transpose(0, 1, 3, 2)
         return merge(gq), merge(gk), merge(gv)
 
-    result = Tensor._from_op(out, "attention", (q, k, v), bwd)
-    return (result, w.copy()) if return_weights else result
+    if return_weights:
+        return out, (q, k, v), bwd, w.copy()
+    return out, (q, k, v), bwd
 
 
-def multitask_nll(probs, labels, label_mask, w, log_var=None) -> Tensor:
+@_op("multitask_nll")
+def multitask_nll(probs, labels, label_mask, w, log_var=None):
     """Class-weighted multi-task negative log-likelihood as one tape node.
 
     ``probs`` and ``labels`` are ``[B, 2m]`` with (negative, positive)
@@ -441,8 +431,6 @@ def multitask_nll(probs, labels, label_mask, w, log_var=None) -> Tensor:
     Forward and backward repeat, in order, the numpy expressions of the
     chain of clip, reshape, sum, div, log, mul, neg, exp and scale nodes
     this op replaced, so values and gradients match that chain bit for bit.
-    Arithmetic that can overflow runs with numpy's warnings off, so a
-    non-finite result is reported by the finiteness check naming this op.
     """
     probs = _ensure_tensor(probs)
     log_var = None if log_var is None else _ensure_tensor(log_var)
@@ -464,68 +452,65 @@ def multitask_nll(probs, labels, label_mask, w, log_var=None) -> Tensor:
     p = pairs / pair_sum
     coef = labels * np.repeat(mask, 2, axis=1) * w.reshape(-1)[None, :]
     present = np.repeat(np.maximum(mask.sum(axis=0), 1.0), 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        per_jt = -(np.log(p).reshape(n, width) * coef).sum(axis=0) / present
-        if log_var is None:
-            total = per_jt.sum()
-        else:
-            s = log_var.data.reshape(2 * m)
-            e = np.exp(-s)
-            total = (e * per_jt + s * 0.5).sum()
+    per_jt = -(np.log(p).reshape(n, width) * coef).sum(axis=0) / present
+    if log_var is None:
+        total = per_jt.sum()
+    else:
+        s = log_var.data.reshape(2 * m)
+        e = np.exp(-s)
+        total = (e * per_jt + s * 0.5).sum()
 
     def bwd(g: np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):
-            if log_var is None:
-                g_jt = g
-            else:
-                g_jt = g * e
-                g_s = (g * 0.5 + -((g * per_jt) * e)).reshape(m, 2)
-            g_p = (-(g_jt / present) * coef).reshape(n, m, 2) / p
-            g_sum = ((-g_p * pairs) / (pair_sum * pair_sum)).sum(axis=(2,), keepdims=True)
-            g_probs = (g_p / pair_sum + g_sum).reshape(n, width) * inside
+        if log_var is None:
+            g_jt = g
+        else:
+            g_jt = g * e
+            g_s = (g * 0.5 + -((g * per_jt) * e)).reshape(m, 2)
+        g_p = (-(g_jt / present) * coef).reshape(n, m, 2) / p
+        g_sum = ((-g_p * pairs) / (pair_sum * pair_sum)).sum(axis=(2,), keepdims=True)
+        g_probs = (g_p / pair_sum + g_sum).reshape(n, width) * inside
         return (g_probs,) if log_var is None else (g_probs, g_s)
 
     parents = (probs,) if log_var is None else (probs, log_var)
-    return Tensor._from_op(np.asarray(total), "multitask_nll", parents, bwd)
+    return np.asarray(total), parents, bwd
 
 
 # -- elementwise -------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
+@_op("add")
+def add(a, b):
     a, b = _ensure_tensor(a), _ensure_tensor(b)
-    out = a.data + b.data
-    return Tensor._from_op(
-        out, "add", (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-    )
+    return (a.data + b.data, (a, b),
+            lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def mul(a, b) -> Tensor:
+@_op("mul")
+def mul(a, b):
     a, b = _ensure_tensor(a), _ensure_tensor(b)
-    with np.errstate(over="ignore"):
-        out = a.data * b.data
-    return Tensor._from_op(
-        out, "mul", (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
+    return (a.data * b.data, (a, b),
+            lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
 
 
-def div(a, b) -> Tensor:
+@_op("div")
+def div(a, b):
     a, b = _ensure_tensor(a), _ensure_tensor(b)
     if np.any(b.data == 0.0):
         raise DomainError("div: division by zero")
     out = a.data / b.data
 
     def bwd(g: np.ndarray):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
+        # -(g / b) * (a / b), not -g * a / (b * b): b * b underflows to 0
+        # for |b| below about 1e-162 although the gradient is finite
+        g_over_b = g / b.data
+        gb = _unbroadcast(-g_over_b * out, b.shape) if b.requires_grad else None
+        return _unbroadcast(g_over_b, a.shape), gb
 
-    return Tensor._from_op(out, "div", (a, b), bwd)
+    return out, (a, b), bwd
 
 
-def sigmoid(x) -> Tensor:
+@_op("sigmoid")
+def sigmoid(x):
     """Numerically stable logistic function; output lies in [0, 1]."""
     x = _ensure_tensor(x)
     # exp(-|x|) never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x)
@@ -533,13 +518,14 @@ def sigmoid(x) -> Tensor:
     # cheaper than gathering and scattering through boolean masks.
     ex = np.exp(-np.abs(x.data))
     out = np.where(x.data >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-    return Tensor._from_op(out, "sigmoid", (x,), lambda g: (g * out * (1.0 - out),))
+    return out, (x,), lambda g: (g * out * (1.0 - out),)
 
 
-def relu(x) -> Tensor:
+@_op("relu")
+def relu(x):
     x = _ensure_tensor(x)
     mask = x.data > 0
-    return Tensor._from_op(np.where(mask, x.data, 0.0), "relu", (x,), lambda g: (g * mask,))
+    return np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,)
 
 
 # -- reductions --------------------------------------------------------
@@ -566,7 +552,8 @@ def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool)
     return np.broadcast_to(g, shape)
 
 
-def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+@_op("sum")
+def reduce_sum(x, axis=None, keepdims: bool = False):
     x = _ensure_tensor(x)
     if axis is not None:
         axis = _norm_axis(axis, x.ndim, "sum")
@@ -576,7 +563,7 @@ def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     def bwd(g: np.ndarray):
         return (np.ascontiguousarray(_expand_reduced(g, x.shape, axis, keepdims)),)
 
-    return Tensor._from_op(np.asarray(out), "sum", (x,), bwd)
+    return np.asarray(out), (x,), bwd
 
 
 # -- backward pass -----------------------------------------------------
@@ -617,20 +604,21 @@ def backward(loss: Tensor) -> None:
         return
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     order = _topo_order(loss)
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._bwd is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
-            continue
-        parent_grads = node._bwd(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if pg is None or not parent.requires_grad:
+    with np.errstate(all="ignore"):
+        for node in reversed(order):
+            g = grads.pop(id(node), None)
+            if g is None:
                 continue
-            _check_finite(pg, f"backward[{node._op}]")
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+            if node._bwd is None:
+                node.grad = g.copy() if node.grad is None else node.grad + g
+                continue
+            parent_grads = node._bwd(g)
+            for parent, pg in zip(node._parents, parent_grads):
+                if pg is None or not parent.requires_grad:
+                    continue
+                _check_finite(pg, f"backward[{node._op}]")
+                acc = grads.get(id(parent))
+                grads[id(parent)] = pg if acc is None else acc + pg
 
 
 # -- gradient checking -------------------------------------------------

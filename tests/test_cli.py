@@ -2,14 +2,19 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sst.cli import main
+from sst.cli import CHECKPOINT_NAME, TRAIN_LOG_NAME, main
 from sst.model import load_weights
 from sst.npyio import read_npy, write_npy
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -100,6 +105,37 @@ class TestTrain:
         assert (a / "checkpoint.sst").read_bytes() == (b / "checkpoint.sst").read_bytes()
         assert (a / "train_log.csv").read_bytes() == (b / "train_log.csv").read_bytes()
 
+
+    @pytest.mark.xfail(
+        (os.cpu_count() or 1) > 1, strict=True,
+        reason="OpenBLAS 0.3.31 blocks the shared axis of a threaded GEMM differently: "
+               "a weight gradient [32, K] @ [K, N] of 1M multiply-adds or more "
+               "whose K = batch rows x T is not a multiple of 32 changes bits under two "
+               "threads; here the last batch of 145 samples gives K = 580")
+    def test_bit_identical_under_one_and_two_blas_threads(self, tmp_path):
+        """Batches of 256 samples at T=4 give [1024, 32] @ [32, 32] and
+        [1024, 32] @ [32, 64] GEMMs, which OpenBLAS splits across two
+        threads; the split must not change a bit of the outputs.  Each run
+        is a subprocess because the thread count is fixed at import."""
+        data = tmp_path / "data"
+        argv = list(SYNTH) + ["--out", str(data)]
+        argv[argv.index("--samples") + 1] = "1200"
+        argv[argv.index("--timesteps") + 1] = "4"
+        assert run(argv) == 0
+        cfg = config_file(tmp_path, dmodel=32, dff=64, batch_size=256)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run(
+                [sys.executable, "-m", "sst.cli", "train", "--manifest",
+                 str(data / "manifest.json"), "--config", str(cfg), "--epochs-max", "2",
+                 "--patience", "2", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            outputs.append([(out / name).read_bytes()
+                            for name in (CHECKPOINT_NAME, TRAIN_LOG_NAME)])
+        assert outputs[0] == outputs[1]
     def test_set_overrides_config_file(self, dataset, tmp_path):
         cfg = config_file(tmp_path, dmodel=16)
         out = tmp_path / "run"
