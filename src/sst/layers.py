@@ -199,10 +199,16 @@ def global_average_pool(x: Tensor, pad_mask: np.ndarray) -> Tensor:
         raise ShapeMismatchError(
             f"pad_mask shape {pad_mask.shape} does not match batch ({batch}, {length})"
         )
-    real = 1.0 - pad_mask
-    counts = real.sum(axis=1)
+    counts = unpadded_counts(pad_mask)
+    masked = x * Tensor((1.0 - pad_mask)[:, :, None])
+    return masked.sum(axis=1) / Tensor(counts[:, None])
+
+
+def unpadded_counts(pad_mask: np.ndarray) -> np.ndarray:
+    """Number of unpadded timesteps of each row of a [B, T] mask; a row
+    with none raises ``DomainError`` naming its index."""
+    counts = (1.0 - pad_mask).sum(axis=1)
     if np.any(counts == 0):
         bad = int(np.argmax(counts == 0))
         raise DomainError(f"sample {bad} has no unpadded timesteps to pool over")
-    masked = x * Tensor(real[:, :, None])
-    return masked.sum(axis=1) / Tensor(counts[:, None])
+    return counts

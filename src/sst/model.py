@@ -2,6 +2,13 @@
 encoder blocks, mask-aware pooling, and a sigmoid MLP emitting one
 (negative, positive) head pair per task.
 
+``SstModel.infer`` is the one inference path: ``predict_proba``, and with
+it ``sst eval``, and the validation loss and AUCs of training all call it.
+It runs a tape-free forward in blocks of samples sized so that the widest
+activation of a block, ``[rows, T, max(n_heads * T, dmodel, dff)]``
+float64, fits ``INFER_BLOCK_BYTES`` (2 MiB, about one core's L2 cache).
+The scores equal those of one whole-input forward bit for bit.
+
 The checkpoint format is binary: magic, one version byte, an 8-byte
 little-endian length, the config as canonical JSON, then every parameter
 buffer as raw little-endian float64 in declaration order.  Round trips are
@@ -24,6 +31,13 @@ from sst.tensor import DomainError, ShapeMismatchError, Tensor
 
 CHECKPOINT_MAGIC = b"SSTCKPT"
 CHECKPOINT_VERSION = 1
+
+# Byte budget of one inference block's widest activation, about one core's
+# L2 cache.  A whole-split forward at T=48 builds [N, h, T, T] arrays of
+# tens of MB each, past glibc's 32 MiB mmap threshold, so every call would
+# map and fault in fresh pages; blocks of this size stay in cache and reuse
+# the same heap memory.
+INFER_BLOCK_BYTES = 2 * 1024 * 1024
 
 
 class CheckpointError(ValueError):
@@ -131,18 +145,12 @@ class SstModel(L.Module):
 
     def forward(self, x, pad_mask, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        cfg = self.config
         x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.ndim != 3 or x.shape[1] > cfg.max_timesteps or x.shape[-1] != cfg.n_features:
-            raise ShapeMismatchError(
-                f"expected input [B, T <= {cfg.max_timesteps}, {cfg.n_features}], got {x.shape}"
-            )
+        pad_mask = _array(pad_mask)
+        self._check_input(x.shape, pad_mask.shape)
         if training and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
-        if isinstance(pad_mask, Tensor):
-            pad_mask = pad_mask.data
-        pad_mask = np.asarray(pad_mask, dtype=np.float64)
-        rate = cfg.dropout_rate
+        rate = self.config.dropout_rate
 
         h = self.embedding(x) + self.pe_table[:x.shape[1]]
         h = L.dropout(h, rate, training, rng)
@@ -153,14 +161,63 @@ class SstModel(L.Module):
             pooled = L.dropout(layer(pooled), rate, training, rng)
         return self.mlp[-1](pooled)
 
+    def _check_input(self, x_shape, mask_shape) -> None:
+        cfg = self.config
+        if len(x_shape) != 3 or x_shape[1] > cfg.max_timesteps or x_shape[-1] != cfg.n_features:
+            raise ShapeMismatchError(
+                f"expected input [B, T <= {cfg.max_timesteps}, {cfg.n_features}], got {x_shape}"
+            )
+        if mask_shape != x_shape[:2]:
+            raise ShapeMismatchError(
+                f"pad_mask shape {mask_shape} does not match input {x_shape[:2]}"
+            )
+
+    def infer(self, x, pad_mask) -> np.ndarray:
+        """Raw [N, 2*n_tasks] head scores of an inference-mode forward, run
+        without a tape in blocks of samples.
+
+        A block holds as many samples as keep its widest activation,
+        ``[rows, T, max(n_heads * T, dmodel, dff)]`` float64 (the attention
+        weights, the model width or the feed-forward width), within
+        ``INFER_BLOCK_BYTES``, and at least two.  An input that fits one
+        block goes to ``forward`` as given.  Otherwise shapes and padding
+        are checked on the whole input before any block runs, so an error
+        names a sample by its index in ``x``.
+
+        Every op works on each sample's rows alone, so the scores equal
+        those of one whole-input forward bit for bit.  That needs every
+        block to hold two samples or more: numpy computes a one-row matrix
+        product as a GEMV, which sums in another order than the GEMM of a
+        taller one, so a last block of one sample joins the block before."""
+        cfg = self.config
+        data, mask = _array(x), _array(pad_mask)
+        self._check_input(data.shape, mask.shape)
+        n, length = data.shape[:2]
+        row_bytes = 8 * length * max(cfg.n_heads * length, cfg.dmodel, cfg.dff)
+        rows = max(2, INFER_BLOCK_BYTES // max(1, row_bytes))
+        with T.no_grad():
+            if n <= rows:
+                return self.forward(x, pad_mask).data
+            L.unpadded_counts(mask)
+            edges = list(range(0, n, rows))
+            if n - edges[-1] == 1:
+                edges.pop()
+            edges.append(n)
+            return np.concatenate([
+                self.forward(data[a:b], mask[a:b]).data
+                for a, b in zip(edges, edges[1:])
+            ])
+
     def predict_proba(self, x, pad_mask) -> Tensor:
         """Per-task positive probability: each (negative, positive) head pair
-        is normalized as pos / (pos + neg) by ``pair_probabilities``.  Runs
-        without a tape, so the result has no parents and no intermediate
-        outlives the call."""
-        with T.no_grad():
-            raw = self.forward(x, pad_mask, training=False)
-        return Tensor(pair_probabilities(raw.data))
+        of ``infer`` is normalized as pos / (pos + neg) by
+        ``pair_probabilities``.  Runs without a tape, so the result has no
+        parents and no intermediate outlives the call."""
+        return Tensor(pair_probabilities(self.infer(x, pad_mask)))
+
+
+def _array(value) -> np.ndarray:
+    return value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
 
 
 # -- checkpoint i/o ----------------------------------------------------

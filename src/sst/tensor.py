@@ -20,10 +20,11 @@ tape; silent propagation would poison every downstream result.  One
 registration, ``_op``, keeps that promise for every op in ``OPS``, the
 registry of ops by name: it runs the op under ``np.errstate(all="ignore")``
 and checks its output, and ``backward`` runs every backward closure under
-one such ``errstate`` and checks each gradient as ``backward[op]``.  The
-check is exact but cheap: it sums the array first, and a finite sum proves
-every element finite; only a non-finite sum (a NaN or Inf, or a sum that
-merely overflows) pays for the elementwise test.  It reads values, not IEEE
+one such ``errstate`` and checks each gradient, summed with the ones its
+tensor already received, as ``backward[op]``.  The check is exact but
+cheap: it sums the array first, and a finite sum proves every element
+finite; only a non-finite sum (a NaN or Inf, or a sum that merely
+overflows) pays for the elementwise test.  It reads values, not IEEE
 status flags, which OpenBLAS loses for the rows a worker thread computes.
 
 The registered ops are the ones the model and its training loop call:
@@ -596,7 +597,10 @@ def backward(loss: Tensor) -> None:
 
     ``loss`` must be scalar.  Gradients add onto whatever is already stored,
     so a second backward over the same graph doubles them; callers reset
-    ``grad`` to ``None`` between steps.
+    ``grad`` to ``None`` between steps.  A sum of gradients is checked like
+    any gradient: one that overflows raises ``NumericsError`` naming the op
+    whose contribution it took last, or ``backward[leaf]`` for the add onto
+    a stored ``grad``, which then keeps its old value.
     """
     if loss.data.size != 1:
         raise ShapeMismatchError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -610,15 +614,24 @@ def backward(loss: Tensor) -> None:
             if g is None:
                 continue
             if node._bwd is None:
-                node.grad = g.copy() if node.grad is None else node.grad + g
+                if node.grad is None:
+                    node.grad = g.copy()
+                else:
+                    total = node.grad + g
+                    _check_finite(total, "backward[leaf]")
+                    node.grad = total
                 continue
             parent_grads = node._bwd(g)
             for parent, pg in zip(node._parents, parent_grads):
                 if pg is None or not parent.requires_grad:
                     continue
-                _check_finite(pg, f"backward[{node._op}]")
+                # the accumulated sum is what gets checked: two finite
+                # contributions can overflow, and a finite acc plus a
+                # non-finite pg is non-finite
                 acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
+                total = pg if acc is None else acc + pg
+                _check_finite(total, f"backward[{node._op}]")
+                grads[id(parent)] = total
 
 
 # -- gradient checking -------------------------------------------------

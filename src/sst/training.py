@@ -205,16 +205,19 @@ class TrainReport:
                 )
 
 
-def evaluate_loss(model: SstModel, batch: Batch, tw: TaskWeights) -> float:
-    """Objective on a split in inference mode, without the L2 term and
-    without a tape."""
+def _split_loss(model: SstModel, batch: Batch, tw: TaskWeights, raw: np.ndarray) -> float:
     with T.no_grad():
-        probs = model.forward(batch.x, batch.pad_mask.data, training=False)
         loss = weighted_multitask_loss(
-            probs, batch.labels, batch.label_mask, tw,
+            raw, batch.labels, batch.label_mask, tw,
             model.config.uncertainty_weighting,
         )
     return loss.item()
+
+
+def evaluate_loss(model: SstModel, batch: Batch, tw: TaskWeights) -> float:
+    """Objective on a split in inference mode, without the L2 term and
+    without a tape, computed once on the raw scores of ``SstModel.infer``."""
+    return _split_loss(model, batch, tw, model.infer(batch.x, batch.pad_mask.data))
 
 
 def evaluate_aucs(model: SstModel, batch: Batch):
@@ -223,16 +226,12 @@ def evaluate_aucs(model: SstModel, batch: Batch):
 
 
 def _validate(model: SstModel, batch: Batch, tw: TaskWeights):
-    """``evaluate_loss`` and ``evaluate_aucs`` from one shared inference
-    forward pass, run without a tape."""
-    with T.no_grad():
-        raw = model.forward(batch.x, batch.pad_mask.data, training=False)
-        loss = weighted_multitask_loss(
-            raw, batch.labels, batch.label_mask, tw,
-            model.config.uncertainty_weighting,
-        )
-    probas = pair_probabilities(raw.data)
-    return loss.item(), M.task_aucs(probas, batch.labels.data, batch.label_mask.data)
+    """``evaluate_loss`` and ``evaluate_aucs`` from one shared run of
+    ``SstModel.infer``."""
+    raw = model.infer(batch.x, batch.pad_mask.data)
+    probas = pair_probabilities(raw)
+    return (_split_loss(model, batch, tw, raw),
+            M.task_aucs(probas, batch.labels.data, batch.label_mask.data))
 
 
 def fit(model: SstModel, train: Batch, val: Batch, *,

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sst import model as model_module
+from sst.data import Batch, label_counts
+from sst.metrics import task_aucs
 from sst.model import (
     CheckpointError,
     SstConfig,
@@ -20,7 +24,8 @@ from sst.model import (
     pair_probabilities,
     save_weights,
 )
-from sst.tensor import DomainError, ShapeMismatchError, Tensor, grad_check
+from sst.tensor import DomainError, ShapeMismatchError, Tensor, grad_check, no_grad
+from sst.training import TaskWeights, _validate, weighted_multitask_loss
 
 TINY = dict(n_features=5, max_timesteps=4, n_tasks=2, n_layers=1,
             dmodel=8, dff=8, n_heads=2, dropout_rate=0.0)
@@ -202,6 +207,109 @@ class TestPredictProba:
         assert p._parents == () and not p.requires_grad
         assert taped._parents != ()
         np.testing.assert_array_equal(p.data, pair_probabilities(taped.data))
+
+
+# TINY's widest activation per sample is [T=4, max(2 * 4, 8, 8)] float64
+TINY_ROW_BYTES = 8 * 4 * 8
+
+
+def blocked_tiny_model(monkeypatch, budget_rows):
+    """A TINY model whose inference blocks are budgeted at ``budget_rows``
+    samples, and the batch sizes of the forwards it runs."""
+    model = tiny_model(seed=1)
+    monkeypatch.setattr(model_module, "INFER_BLOCK_BYTES", budget_rows * TINY_ROW_BYTES)
+    sizes = []
+    forward = model.forward
+
+    def spy(x, pad_mask, **kwargs):
+        sizes.append(np.shape(x.data if isinstance(x, Tensor) else x)[0])
+        return forward(x, pad_mask, **kwargs)
+
+    monkeypatch.setattr(model, "forward", spy)
+    return model, sizes
+
+
+def seven_samples():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(7, 4, 5))
+    mask = np.zeros((7, 4))
+    mask[1, 3] = mask[4, 2:] = mask[6, 1:] = 1.0
+    return x, mask
+
+
+class TestBlockedInference:
+    # A budget of one sample runs blocks of two: a one-row matrix product is
+    # a GEMV in numpy, whose sums differ from a GEMM's in the last bit, so a
+    # lone last sample joins the block before it.
+    @pytest.mark.parametrize("budget_rows,blocks", [
+        (1, [2, 2, 3]), (2, [2, 2, 3]), (3, [3, 4]), (4, [4, 3]), (7, [7]),
+    ])
+    def test_bit_identical_to_one_forward(self, monkeypatch, budget_rows, blocks):
+        """The raw scores, predict_proba and fit's validation (loss and AUCs)
+        equal, without any tolerance, what one no_grad forward over all 7
+        samples gives."""
+        x, mask = seven_samples()
+        model, sizes = blocked_tiny_model(monkeypatch, budget_rows)
+        with no_grad():
+            raw = tiny_model(seed=1).forward(x, mask).data
+        np.testing.assert_array_equal(model.infer(x, mask), raw)
+        assert sizes == blocks
+        np.testing.assert_array_equal(model.predict_proba(x, mask).data,
+                                      pair_probabilities(raw))
+
+        y = np.array([[0, 1, 0, 1, 1, 0, 1], [1, 1, 0, 0, 1, 0, 0]], dtype=float).T
+        labels = np.stack([1.0 - y, y], axis=2).reshape(7, 4)
+        label_mask = np.ones((7, 2))
+        label_mask[3, 1] = 0.0
+        batch = Batch(*(Tensor(a) for a in (x, mask, labels, label_mask)))
+        tw = TaskWeights.from_counts(label_counts(labels, label_mask), 2)
+        with no_grad():
+            loss = weighted_multitask_loss(raw, labels, label_mask, tw, True).item()
+        assert _validate(model, batch, tw) == (
+            loss, task_aucs(pair_probabilities(raw), labels, label_mask))
+
+    def test_errors_name_the_sample_in_the_whole_input(self, monkeypatch):
+        """Shapes and padding are checked before any block runs; an
+        all-padded sample is named by its index in the caller's input, not
+        in its block."""
+        x, mask = seven_samples()
+        model, sizes = blocked_tiny_model(monkeypatch, 2)
+        mask[5] = 1.0
+        with pytest.raises(DomainError, match=r"sample 5 has no unpadded"):
+            model.predict_proba(x, mask)
+        with pytest.raises(ShapeMismatchError, match="pad_mask"):
+            model.predict_proba(x, mask[:6])
+        with pytest.raises(ShapeMismatchError):
+            model.predict_proba(x[:, :, :4], mask[:, :4])
+        assert sizes == []
+
+    def test_accepts_lists_tensors_and_empty_input(self, monkeypatch):
+        x, mask = seven_samples()
+        model, sizes = blocked_tiny_model(monkeypatch, 2)
+        expected = model.predict_proba(x, mask).data
+        np.testing.assert_array_equal(
+            model.predict_proba(x.tolist(), mask.tolist()).data, expected)
+        np.testing.assert_array_equal(
+            model.predict_proba(Tensor(x), Tensor(mask)).data, expected)
+        assert model.predict_proba(np.zeros((0, 4, 5)), np.zeros((0, 4))).shape == (0, 2)
+        assert sizes == [2, 2, 3] * 3 + [0]
+
+    def test_scoring_peak_memory_is_a_few_blocks(self):
+        """One forward over 256 samples at T=48 with 4 heads would hold
+        [256, 4, 48, 48] float64 arrays of 18.9 MB each; blocks of 28
+        samples keep the traced peak near 5 MB."""
+        cfg = SstConfig(n_features=13, max_timesteps=48, n_tasks=4,
+                        dmodel=32, dff=64, n_heads=4)
+        model = SstModel(cfg)
+        x = np.random.default_rng(12).normal(size=(256, 48, 13))
+        mask = np.zeros((256, 48))
+        tracemalloc.start()
+        try:
+            model.predict_proba(x, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestPaddingInvariance:

@@ -393,6 +393,23 @@ class TestErrorContracts:
         with pytest.raises(NumericsError, match=r"'backward\[div\]'"):
             loss.backward()
 
+    def test_backward_overflowing_sum_of_gradients_names_op(self):
+        """Each of the two contributions to a's gradient, 1e308, is finite;
+        their sum is not, and it must not reach ``a.grad``."""
+        a = Tensor([1e-300], requires_grad=True)
+        loss = (a * 1e308 + a * 1e308).sum()
+        with pytest.raises(NumericsError, match=r"'backward\[mul\]'"):
+            loss.backward()
+        assert a.grad is None
+
+    def test_backward_overflowing_leaf_accumulation_keeps_grad(self):
+        a = Tensor([1.0], requires_grad=True)
+        loss = (a * 1e308).sum()
+        loss.backward()
+        with pytest.raises(NumericsError, match=r"'backward\[leaf\]'"):
+            loss.backward()
+        np.testing.assert_array_equal(a.grad, [1e308])
+
     def test_div_gradient_of_a_tiny_denominator(self):
         """d(1/x)/dx = -1/x^2 is -1e400 at x = 1e-200; scaled by 1e-300 it
         is -1e100, although x * x underflows to 0."""
