@@ -4,10 +4,7 @@ encoder blocks, mask-aware pooling, and a sigmoid MLP emitting one
 
 ``SstModel.infer`` is the one inference path: ``predict_proba``, and with
 it ``sst eval``, and the validation loss and AUCs of training all call it.
-It runs a tape-free forward in blocks of samples sized so that the widest
-activation of a block, ``[rows, T, max(n_heads * T, dmodel, dff)]``
-float64, fits ``INFER_BLOCK_BYTES`` (2 MiB, about one core's L2 cache).
-The scores equal those of one whole-input forward bit for bit.
+It runs the tape-free forward in blocks of samples (see its docstring).
 
 The checkpoint format is binary: magic, one version byte, an 8-byte
 little-endian length, the config as canonical JSON, then every parameter
@@ -32,11 +29,12 @@ from sst.tensor import DomainError, ShapeMismatchError, Tensor
 CHECKPOINT_MAGIC = b"SSTCKPT"
 CHECKPOINT_VERSION = 1
 
-# Byte budget of one inference block's widest activation, about one core's
-# L2 cache.  A whole-split forward at T=48 builds [N, h, T, T] arrays of
-# tens of MB each, past glibc's 32 MiB mmap threshold, so every call would
-# map and fault in fresh pages; blocks of this size stay in cache and reuse
-# the same heap memory.
+# Byte budget of one inference block's widest activation.  A whole-split
+# forward at T=48 builds [N, h, T, T] arrays of tens of MB each, past
+# glibc's 32 MiB mmap threshold, so every call maps and faults in fresh
+# pages.  On a Xeon with 2 MiB of L2 per core, one 512-sample score at
+# long_seq's shape took a median 220 ms at 2 MiB, about the same at 1 and
+# 4 MiB, 252 ms at 0.5 and 8 MiB, and 364 ms unblocked.
 INFER_BLOCK_BYTES = 2 * 1024 * 1024
 
 
@@ -179,30 +177,26 @@ class SstModel(L.Module):
         A block holds as many samples as keep its widest activation,
         ``[rows, T, max(n_heads * T, dmodel, dff)]`` float64 (the attention
         weights, the model width or the feed-forward width), within
-        ``INFER_BLOCK_BYTES``, and at least two.  An input that fits one
-        block goes to ``forward`` as given.  Otherwise shapes and padding
-        are checked on the whole input before any block runs, so an error
-        names a sample by its index in ``x``.
+        ``INFER_BLOCK_BYTES``, and at least two.  Shapes and padding are
+        checked on the whole input before any block runs, so an error names
+        a sample by its index in ``x``.
 
         Every op works on each sample's rows alone, so the scores equal
         those of one whole-input forward bit for bit.  That needs every
         block to hold two samples or more: numpy computes a one-row matrix
         product as a GEMV, which sums in another order than the GEMM of a
-        taller one, so a last block of one sample joins the block before."""
+        taller one, so block starts stop before the last sample and a lone
+        last sample joins the block before it.  An empty input runs one
+        empty block."""
         cfg = self.config
         data, mask = _array(x), _array(pad_mask)
         self._check_input(data.shape, mask.shape)
+        L.unpadded_counts(mask)
         n, length = data.shape[:2]
         row_bytes = 8 * length * max(cfg.n_heads * length, cfg.dmodel, cfg.dff)
         rows = max(2, INFER_BLOCK_BYTES // max(1, row_bytes))
+        edges = [*range(0, max(n - 1, 1), rows), n]
         with T.no_grad():
-            if n <= rows:
-                return self.forward(x, pad_mask).data
-            L.unpadded_counts(mask)
-            edges = list(range(0, n, rows))
-            if n - edges[-1] == 1:
-                edges.pop()
-            edges.append(n)
             return np.concatenate([
                 self.forward(data[a:b], mask[a:b]).data
                 for a, b in zip(edges, edges[1:])
