@@ -32,7 +32,7 @@ from sst.metrics import (
     roc_to_csv,
     task_aucs,
 )
-from sst.fileio import atomic_write
+from sst.fileio import atomic_write, write_table
 from sst.model import SstConfig, SstModel, load_weights, save_weights
 from sst.training import DivergenceError, GridResult, fit, grid_points, grid_search
 
@@ -158,7 +158,8 @@ def cmd_train(args) -> int:
     save_weights(model, out / CHECKPOINT_NAME)
     report.to_csv(log_path)
     if report.epochs:
-        aucs = report.epochs[-1].val_aucs
+        # the checkpoint holds the best epoch's weights, so show its AUCs
+        aucs = report.epochs[report.best_epoch - 1].val_aucs
         shown = ", ".join("—" if a is None else f"{a:.4f}" for a in aucs)
         print(f"trained {len(report.epochs)} epochs; best epoch "
               f"{report.best_epoch} (val loss {report.best_val_loss:.6f}); "
@@ -170,18 +171,9 @@ def cmd_train(args) -> int:
 
 
 def _write_grid_csv(path, results: list[GridResult]) -> None:
-    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GRID_COLUMNS)
-        for res in results:
-            writer.writerow([
-                res.index,
-                json.dumps(res.values, sort_keys=True),
-                repr(res.mean_val_auc),
-                repr(res.seconds),
-                res.error,
-                res.fingerprint,
-            ])
+    write_table(path, GRID_COLUMNS,
+                ([res.index, json.dumps(res.values, sort_keys=True), res.mean_val_auc,
+                  res.seconds, res.error, res.fingerprint] for res in results))
 
 
 def _read_grid_csv(path) -> dict[int, GridResult]:

@@ -46,10 +46,6 @@ class Batch:
     def n_samples(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def n_tasks(self) -> int:
-        return self.labels.shape[1] // 2
-
     def take(self, idx) -> "Batch":
         return Batch(
             x=Tensor(self.x.data[idx]),
@@ -157,13 +153,13 @@ def impute(x, stage_ids, modes: np.ndarray) -> np.ndarray:
 # -- padding -----------------------------------------------------------
 
 
-def percentile_length(lengths, q: float = 0.99) -> int:
-    """Nearest-rank percentile (ceil variant): the smallest length with at
-    least ceil(q*n) lengths at or below it."""
+def percentile_length(lengths) -> int:
+    """Nearest-rank 99th percentile (ceil variant): the smallest length with
+    at least ceil(0.99*n) lengths at or below it."""
     lengths = sorted(int(n) for n in lengths)
     if not lengths:
         raise ValueError("no sequence lengths given")
-    rank = max(1, math.ceil(q * len(lengths)))
+    rank = max(1, math.ceil(0.99 * len(lengths)))
     return lengths[rank - 1]
 
 
@@ -235,7 +231,8 @@ def label_counts(labels, label_mask) -> np.ndarray:
 
 # -- manifest ----------------------------------------------------------
 
-MANIFEST_KEYS = {"m", "n_features", "timesteps", "seed", "splits"}
+MANIFEST_INT_KEYS = ("m", "n_features", "timesteps", "seed")
+MANIFEST_KEYS = {*MANIFEST_INT_KEYS, "splits"}
 
 
 def save_manifest(path, *, m: int, n_features: int, timesteps: int, seed: int,
@@ -247,14 +244,29 @@ def save_manifest(path, *, m: int, n_features: int, timesteps: int, seed: int,
 
 
 def load_manifest(path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict) or set(doc) != MANIFEST_KEYS:
+    """A manifest is a JSON object with exactly the ``MANIFEST_KEYS``: int
+    (not bool) ``m``, ``n_features``, ``timesteps`` and ``seed``, and
+    ``splits`` mapping each split name to an object of string ``x`` and
+    ``y`` paths.  Anything else raises ``ValueError`` naming the file and
+    the key."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: manifest must be a JSON object, got {type(doc).__name__}")
+    if set(doc) != MANIFEST_KEYS:
         raise ValueError(
-            f"manifest must have exactly keys {sorted(MANIFEST_KEYS)}, got {sorted(doc)}"
+            f"{path}: manifest must have exactly keys {sorted(MANIFEST_KEYS)}, got {sorted(doc)}"
+        )
+    for key in MANIFEST_INT_KEYS:
+        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+            raise ValueError(f"{path}: manifest key '{key}' must be an integer, got {doc[key]!r}")
+    if not isinstance(doc["splits"], dict):
+        raise ValueError(
+            f"{path}: manifest key 'splits' must be an object, got {type(doc['splits']).__name__}"
         )
     for split, entry in doc["splits"].items():
-        if set(entry) != {"x", "y"}:
-            raise ValueError(f"manifest split '{split}' must map to x/y paths")
+        if not (isinstance(entry, dict) and set(entry) == {"x", "y"}
+                and all(isinstance(v, str) for v in entry.values())):
+            raise ValueError(f"{path}: manifest split '{split}' must map to string x/y paths")
     return doc
 
 
@@ -322,7 +334,6 @@ class SynthData:
     train: Batch
     val: Batch
     test: Batch
-    latent_w: np.ndarray    # [m, F] true per-task feature weights
     latent_scores: np.ndarray  # [B, m] noiseless scores, generation order
     timesteps: int          # padded length T*
 
@@ -344,8 +355,10 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
         raise ValueError("m, n_samples, timesteps, n_features must all be positive")
     if not 0.0 < imbalance < 1.0:
         raise ValueError(f"imbalance must lie in (0, 1), got {imbalance}")
-    if separability <= 0:
+    if not separability > 0:  # NaN fails this too
         raise ValueError(f"separability must be positive, got {separability}")
+    if not 0.0 < label_rate <= 1.0:
+        raise ValueError(f"label_rate must lie in (0, 1], got {label_rate}")
     expected_pos = n_samples * imbalance
     if expected_pos < 1:
         raise ValueError(
@@ -394,7 +407,7 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
         label_mask=Tensor(derive_label_mask(labels)),
     )
     train, val, test = (full.take(p) for p in parts)
-    return SynthData(train=train, val=val, test=test, latent_w=latent_w,
+    return SynthData(train=train, val=val, test=test,
                      latent_scores=scores, timesteps=t_star)
 
 

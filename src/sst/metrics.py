@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sst.fileio import atomic_write
+from sst.fileio import write_table
 
 
 class SingleClassError(ValueError):
@@ -149,17 +149,8 @@ def multi_seed_report(per_run_aucs, n_pos, n_neg) -> list[ReportRow]:
 def report_to_csv(rows: list[ReportRow], path) -> None:
     """Columns: task_id, mean_auc, std_auc, n_pos, n_neg.  Undefined AUCs
     are written as empty fields.  The file is replaced atomically."""
-    with atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task_id", "mean_auc", "std_auc", "n_pos", "n_neg"])
-        for r in rows:
-            writer.writerow([
-                r.task_id,
-                "" if r.mean_auc is None else repr(r.mean_auc),
-                "" if r.std_auc is None else repr(r.std_auc),
-                r.n_pos,
-                r.n_neg,
-            ])
+    write_table(path, ["task_id", "mean_auc", "std_auc", "n_pos", "n_neg"],
+                ([r.task_id, r.mean_auc, r.std_auc, r.n_pos, r.n_neg] for r in rows))
 
 
 def format_report(rows: list[ReportRow]) -> str:
@@ -180,17 +171,14 @@ def format_report(rows: list[ReportRow]) -> str:
 def roc_to_csv(curves: list[RocCurve], path) -> None:
     """Columns: task_id, threshold, fpr, tpr; one row per vertex, curves
     concatenated.  The file is replaced atomically."""
-    with atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task_id", "threshold", "fpr", "tpr"])
-        for c in curves:
-            for t, x, y in zip(c.thresholds, c.fpr, c.tpr):
-                writer.writerow([c.task_id, repr(float(t)), repr(float(x)), repr(float(y))])
+    write_table(path, ["task_id", "threshold", "fpr", "tpr"],
+                ([c.task_id, t, x, y]
+                 for c in curves for t, x, y in zip(c.thresholds, c.fpr, c.tpr)))
 
 
 def roc_from_csv(path) -> list[RocCurve]:
     by_task: dict[int, list[tuple[float, float, float]]] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != ["task_id", "threshold", "fpr", "tpr"]:
@@ -212,8 +200,9 @@ def roc_from_csv(path) -> list[RocCurve]:
     return curves
 
 
-def roc_svg(curve: RocCurve, size: int = 420, margin: int = 40) -> str:
-    """Self-contained SVG with the ROC polyline and the chance diagonal."""
+def roc_svg(curve: RocCurve) -> str:
+    """Self-contained 420-pixel SVG with the ROC polyline and the chance diagonal."""
+    size, margin = 420, 40
     span = size - 2 * margin
 
     def sx(v):

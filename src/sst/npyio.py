@@ -43,8 +43,6 @@ class NpyArray:
 def write_npy(arr, path) -> None:
     """Serialize a float32/float64 ndarray, C-order, version 1.0; an
     interrupted write leaves any previous file at ``path`` intact."""
-    if isinstance(arr, NpyArray):
-        arr = arr.array
     arr = np.asarray(arr)
     if arr.dtype == np.float32:
         descr = "<f4"

@@ -193,8 +193,8 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def sum(self, axis=None, keepdims: bool = False):
-        return reduce_sum(self, axis, keepdims)
+    def sum(self, axis=None):
+        return reduce_sum(self, axis)
 
     def backward(self) -> None:
         backward(self)
@@ -546,23 +546,17 @@ def _check_nonempty(x: Tensor, axis, op: str) -> None:
         raise DomainError(f"{op}: reduction over empty axis {axis}")
 
 
-def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    """Broadcast a reduced gradient back to the pre-reduction shape."""
-    if not keepdims:
-        g = g.reshape((1,) * len(shape)) if axis is None else np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
-
-
 @_op("sum")
-def reduce_sum(x, axis=None, keepdims: bool = False):
+def reduce_sum(x, axis=None):
     x = _ensure_tensor(x)
     if axis is not None:
         axis = _norm_axis(axis, x.ndim, "sum")
     _check_nonempty(x, axis, "sum")
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+    out = x.data.sum(axis=axis)
 
     def bwd(g: np.ndarray):
-        return (np.ascontiguousarray(_expand_reduced(g, x.shape, axis, keepdims)),)
+        g = g.reshape((1,) * x.ndim) if axis is None else np.expand_dims(g, axis)
+        return (np.ascontiguousarray(np.broadcast_to(g, x.shape)),)
 
     return np.asarray(out), (x,), bwd
 
@@ -637,18 +631,14 @@ def backward(loss: Tensor) -> None:
 # -- gradient checking -------------------------------------------------
 
 
-def grad_check(
-    f: Callable[[Tensor], Tensor],
-    x: Tensor,
-    epsilon: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
+    """Max relative error between analytic and central-difference gradients,
+    the differences taken with a step of 1e-5.
 
     ``f`` must be scalar-valued and deterministic.  The relative error per
     element is ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-8)``.
     """
-    if epsilon <= 0:
-        raise DomainError("grad_check: epsilon must be positive")
+    epsilon = 1e-5
     probe = Tensor(x.data.copy(), requires_grad=True)
     out = f(probe)
     if out.data.size != 1:

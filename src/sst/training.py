@@ -15,7 +15,6 @@ biases or norm gains) is added when l2_factor > 0.  The loss is one
 
 from __future__ import annotations
 
-import csv
 import itertools
 import logging
 import time
@@ -26,7 +25,7 @@ import numpy as np
 from sst import metrics as M
 from sst import tensor as T
 from sst.data import Batch, label_counts
-from sst.fileio import atomic_write
+from sst.fileio import write_table
 from sst.model import SstConfig, SstModel, pair_probabilities
 from sst.tensor import NumericsError, Tensor
 
@@ -91,11 +90,12 @@ def weighted_multitask_loss(probs, labels, label_mask, tw: TaskWeights,
     [B, m].  Each pair of raw sigmoid heads is normalized to a proper
     two-class distribution before the log: without that step the heads are
     independent and the loss is minimized by pushing both to 1, which
-    carries no class information.  Raw values at or beyond the open
-    interval (0, 1) are clamped to [1e-12, 1-1e-12] and the event logged.
+    carries no class information.  The op clamps raw values outside
+    [PROB_FLOOR, 1 - PROB_FLOOR] = [1e-12, 1-1e-12] to that interval and
+    zeroes their gradient; a batch with such a value logs a warning.
     """
     probs = probs if isinstance(probs, Tensor) else Tensor(probs)
-    if np.any((probs.data <= 0.0) | (probs.data >= 1.0)):
+    if np.any((probs.data < T.PROB_FLOOR) | (probs.data > 1.0 - T.PROB_FLOOR)):
         logger.warning(
             "predicted probabilities outside (0,1) clamped to [%g, %g]",
             T.PROB_FLOOR, 1.0 - T.PROB_FLOOR,
@@ -137,10 +137,10 @@ def learning_rate(sched: LrSchedule, step: int) -> float:
 class Adam:
     """Adam with bias correction; the learning rate is supplied per step."""
 
-    def __init__(self, params: list[tuple[str, Tensor]],
-                 beta1: float = 0.9, beta2: float = 0.98, eps: float = 1e-9):
+    beta1, beta2, eps = 0.9, 0.98, 1e-9
+
+    def __init__(self, params: list[tuple[str, Tensor]]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for _, p in params]
         self.v = [np.zeros_like(p.data) for _, p in params]
@@ -192,17 +192,11 @@ class TrainReport:
         task; undefined AUCs are empty fields.  The file is replaced
         atomically."""
         n_tasks = len(self.epochs[0].val_aucs) if self.epochs else 0
-        with atomic_write(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["epoch", "train_loss", "val_loss"]
-                + [f"auc_task_{j}" for j in range(n_tasks)]
-            )
-            for rec in self.epochs:
-                writer.writerow(
-                    [rec.epoch, repr(rec.train_loss), repr(rec.val_loss)]
-                    + ["" if a is None else repr(a) for a in rec.val_aucs]
-                )
+        write_table(path,
+                    ["epoch", "train_loss", "val_loss"]
+                    + [f"auc_task_{j}" for j in range(n_tasks)],
+                    ([rec.epoch, rec.train_loss, rec.val_loss, *rec.val_aucs]
+                     for rec in self.epochs))
 
 
 def _split_loss(model: SstModel, batch: Batch, tw: TaskWeights, raw: np.ndarray) -> float:

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,19 @@ class TestSynth:
     def test_missing_flag_exits_2(self, tmp_path):
         assert run(["synth", "--tasks", "2", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--separability", "nan"), ("--separability", "0"),
+        ("--label-rate", "nan"), ("--label-rate", "0"), ("--label-rate", "1.5"),
+    ])
+    def test_bad_separability_or_label_rate_exits_2(self, tmp_path, capsys, flag, value):
+        """A NaN separability would pass as infinite (noiseless labels), and
+        a label rate of 0 would write a dataset with no measured label."""
+        argv = list(SYNTH) + ["--out", str(tmp_path)]
+        argv[argv.index(flag) + 1] = value
+        assert run(argv) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_env_var_supplies_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SST_OUT_DIR", str(tmp_path / "from_env"))
         assert run(SYNTH) == 0
@@ -136,6 +150,24 @@ class TestTrain:
             outputs.append([(out / name).read_bytes()
                             for name in (CHECKPOINT_NAME, TRAIN_LOG_NAME)])
         assert outputs[0] == outputs[1]
+
+    def test_summary_shows_the_best_epochs_aucs(self, dataset, tmp_path, capsys):
+        """Early stopping leaves the best epoch's weights in the checkpoint,
+        so the summary shows that epoch's AUCs, not the last epoch's."""
+        out = tmp_path / "run"
+        assert run(["train", "--manifest", str(dataset), "--config", str(config_file(tmp_path)),
+                    "--patience", "1", "--epochs-max", "40", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        with open(out / TRAIN_LOG_NAME, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        best = int(re.search(r"best epoch (\d+)", text).group(1))
+
+        def shown(row):
+            return ", ".join(f"{float(a):.4f}" for a in row[3:])
+
+        assert best < len(rows) and shown(rows[best - 1]) != shown(rows[-1])
+        assert f"val AUC [{shown(rows[best - 1])}]" in text
+
     def test_set_overrides_config_file(self, dataset, tmp_path):
         cfg = config_file(tmp_path, dmodel=16)
         out = tmp_path / "run"
@@ -147,6 +179,25 @@ class TestTrain:
     def test_missing_manifest_exits_2(self, tmp_path):
         assert run(["train", "--manifest", str(tmp_path / "nope.json"),
                     "--epochs-max", "1", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("change, key", [
+        (5, "JSON object"),
+        ({"splits": []}, "splits"),
+        ({"splits": {"train": 7}}, "train"),
+        ({"splits": {"train": {"x": 1, "y": "train_y.npy"}}}, "train"),
+        ({"m": True}, "'m'"),
+        ({"timesteps": 3.0}, "'timesteps'"),
+    ])
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, change, key):
+        doc = change if not isinstance(change, dict) else {
+            "m": 2, "n_features": 9, "timesteps": 3, "seed": 7,
+            "splits": {"train": {"x": "train_x.npy", "y": "train_y.npy"}}, **change}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        assert run(["train", "--manifest", str(path), "--epochs-max", "1",
+                    "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and key in err
 
     def test_unknown_config_key_exits_2(self, dataset, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -67,10 +67,7 @@ class TestForwardOracles:
         rng = np.random.default_rng(RNG_SEED)
         x = rng.normal(size=(3, 4, 5))
         np.testing.assert_allclose(T.reduce_sum(Tensor(x), axis=1).data, x.sum(axis=1))
-        np.testing.assert_allclose(
-            T.reduce_sum(Tensor(x), axis=-1, keepdims=True).data,
-            x.sum(axis=-1, keepdims=True),
-        )
+        np.testing.assert_allclose(T.reduce_sum(Tensor(x), axis=-1).data, x.sum(axis=-1))
 
     def test_elementwise_chain(self):
         x = Tensor([0.5, 1.5])

@@ -174,6 +174,22 @@ class TestLoss:
         assert math.isfinite(loss.item())
         assert any("clamped" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("value, clamped", [
+        (1e-13, True), (T.PROB_FLOOR, False), (0.5, False),
+        (1.0 - T.PROB_FLOOR, False), (1.0 - 1e-13, True),
+    ])
+    def test_warns_exactly_when_the_op_clamps(self, caplog, value, clamped):
+        """The op zeroes the gradient of a clamped head; the warning fires
+        for the same heads, including ones strictly inside (0, 1)."""
+        tw = TaskWeights(w=np.ones((1, 2)), log_var=Tensor(np.zeros((1, 2)), requires_grad=True))
+        raw = Tensor(np.array([[0.5, value]]), requires_grad=True)
+        with caplog.at_level(logging.WARNING, logger="sst.training"):
+            loss = weighted_multitask_loss(raw, np.array([[0.0, 1.0]]),
+                                           np.array([[1.0]]), tw, False)
+        loss.backward()
+        assert (raw.grad[0, 1] == 0.0) == clamped
+        assert any("clamped" in r.message for r in caplog.records) == clamped
+
     def test_grad_check_full_loss(self):
         from sst.tensor import grad_check
 
