@@ -305,13 +305,23 @@ def _add_out(p: argparse.ArgumentParser) -> None:
                    help=f"output directory (default: ${ENV_OUT_DIR} or .)")
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_train_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config key (repeatable)")
-    p.add_argument("--epochs-max", type=int, default=None, dest="epochs_max",
+    p.add_argument("--epochs-max", type=_at_least_one, default=None, dest="epochs_max",
                    help="hard epoch cap (default: early stopping only)")
-    p.add_argument("--patience", type=int, default=100,
+    p.add_argument("--patience", type=_at_least_one, default=100,
                    help="early-stopping patience in epochs")
 
 

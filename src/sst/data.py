@@ -350,6 +350,15 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
     becomes positive.  Labels are measured with probability label_rate.
     Sequence lengths vary (about a quarter are shorter than `timesteps`),
     and splits are chronological in generation order.
+
+    The data is built with whole-array operations.  One ``rng.normal`` draw
+    of ``[sum of lengths, F]`` gives the same numbers as one ``[t_i, F]``
+    draw per sample in sample order, so every later draw is unchanged too.
+    The time average is one mean per distinct length t, over exactly the
+    first t steps of that length's samples.  Each sample's steps are then
+    added in the order a mean of its own ``[t, F]`` array adds them; a sum
+    over the padded length divided by t adds them in another order (numpy
+    sums a ``[t, 1]`` array pairwise) and changes the last bit.
     """
     if min(m, n_samples, timesteps, n_features) < 1:
         raise ValueError("m, n_samples, timesteps, n_features must all be positive")
@@ -371,7 +380,13 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
         timesteps,
         rng.integers(1, timesteps + 1, size=n_samples),
     )
-    sequences = [rng.normal(size=(t, n_features)) for t in lengths]
+    # boolean indexing walks the observed (sample, step) positions in
+    # sample order, the order of the draw
+    observed = np.arange(timesteps) < lengths[:, None]  # [B, T]
+    x = np.zeros((n_samples, timesteps, n_features + 1))
+    x[observed, :n_features] = rng.normal(size=(int(lengths.sum()), n_features))
+    pad_mask = (~observed).astype(np.float64)
+    x[:, :, -1] = pad_mask  # indicator column mirrors the mask
 
     support = max(1, n_features // 2)
     latent_w = np.zeros((m, n_features))
@@ -379,7 +394,10 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
         chosen = rng.choice(n_features, size=support, replace=False)
         latent_w[j, chosen] = rng.normal(size=support)
 
-    pooled = np.stack([s.mean(axis=0) for s in sequences])  # [B, F]
+    pooled = np.empty((n_samples, n_features))  # [B, F]
+    for t in np.unique(lengths):
+        rows = np.flatnonzero(lengths == t)
+        pooled[rows] = x[rows, :t, :n_features].mean(axis=1)
     scores = pooled @ latent_w.T  # [B, m]
 
     noisy = scores.copy()
@@ -397,7 +415,6 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
         labels[:, 2 * j] = np.where(present[:, j] == 1.0, ~positive, 0.0)
         labels[:, 2 * j + 1] = np.where(present[:, j] == 1.0, positive, 0.0)
 
-    x, pad_mask, t_star = pad_sequences(sequences, t_star=timesteps)
     idx = np.arange(n_samples)
     parts = time_split(idx, ratios)
     full = Batch(
@@ -408,7 +425,7 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
     )
     train, val, test = (full.take(p) for p in parts)
     return SynthData(train=train, val=val, test=test,
-                     latent_scores=scores, timesteps=t_star)
+                     latent_scores=scores, timesteps=timesteps)
 
 
 def save_dataset(data: SynthData, out_dir, *, m: int, seed: int) -> Path:

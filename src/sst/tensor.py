@@ -308,8 +308,11 @@ def layer_norm(x, gain, bias, eps: float):
         )
     if not eps > 0.0:
         raise DomainError(f"layer_norm: eps must be positive, got {eps}")
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    # each mean is ndarray.mean's own arithmetic, a sum then a division by
+    # the count, without its Python wrapper
+    n = x.shape[-1]
+    centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     _check_finite(var, "layer_norm")
     std = np.sqrt(var + eps)
     normed = centered / std
@@ -319,8 +322,8 @@ def layer_norm(x, gain, bias, eps: float):
         g_normed = g * gain.data
         gx = (
             g_normed
-            - g_normed.mean(axis=-1, keepdims=True)
-            - normed * (g_normed * normed).mean(axis=-1, keepdims=True)
+            - np.add.reduce(g_normed, axis=-1, keepdims=True) / n
+            - normed * (np.add.reduce(g_normed * normed, axis=-1, keepdims=True) / n)
         ) / std
         lead = tuple(range(g.ndim - 1))
         return gx, (g * normed).sum(axis=lead), g.sum(axis=lead)
@@ -526,7 +529,9 @@ def sigmoid(x):
 def relu(x):
     x = _ensure_tensor(x)
     mask = x.data > 0
-    return np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,)
+    out = np.maximum(x.data, 0.0)
+    out += 0.0  # np.maximum may return -0.0 for -0.0; adding +0.0 makes every zero +0.0
+    return out, (x,), lambda g: (g * mask,)
 
 
 # -- reductions --------------------------------------------------------

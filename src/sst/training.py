@@ -144,6 +144,9 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for _, p in params]
         self.v = [np.zeros_like(p.data) for _, p in params]
+        # per-parameter scratch for m_hat and v_hat, reused every step
+        self._m_hat = [np.empty_like(p.data) for _, p in params]
+        self._v_hat = [np.empty_like(p.data) for _, p in params]
 
     def step(self, lr: float) -> None:
         """One update of every parameter that has a gradient.  All gradients
@@ -158,11 +161,23 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            m_hat = self.m[i] / (1.0 - b1 ** self.t)
-            v_hat = self.v[i] / (1.0 - b2 ** self.t)
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+            # p - lr*m_hat / (sqrt(v_hat) + eps), computed in place with the
+            # same operations in the same order, so with the same bits
+            m, v, m_hat, v_hat = self.m[i], self.v[i], self._m_hat[i], self._v_hat[i]
+            m *= b1
+            m += np.multiply(1.0 - b1, g, out=m_hat)
+            v *= b2
+            np.multiply(1.0 - b2, g, out=v_hat)
+            v_hat *= g
+            v += v_hat
+            np.divide(m, 1.0 - b1 ** self.t, out=m_hat)
+            np.divide(v, 1.0 - b2 ** self.t, out=v_hat)
+            m_hat *= lr
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += self.eps
+            m_hat /= v_hat
+            p.data = p.data - m_hat
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -370,7 +385,8 @@ def grid_search(base: SstConfig, value_lists: dict[str, list],
                 progress=None) -> tuple[SstConfig, list[GridResult]]:
     """Train one model per grid point and pick the best mean validation
     AUC; ties keep the earliest point.  A failed point is recorded with
-    its error and the search continues.  An `existing` row (from a previous
+    its error and the search continues; an ``epochs_max`` that is not an
+    integer of at least 1 fails its point.  An `existing` row (from a previous
     partial run) is reused without retraining only when its stored values
     equal the point at its index and its fingerprint equals this search's
     ``grid_fingerprint``; any other row is retrained.
@@ -388,6 +404,11 @@ def grid_search(base: SstConfig, value_lists: dict[str, list],
         point_epochs = point.get("epochs_max", epochs_max)
         started = time.monotonic()
         try:
+            if point_epochs is not None and not (type(point_epochs) is int
+                                                 and point_epochs >= 1):
+                raise ValueError(
+                    f"epochs_max must be an integer of at least 1, got {point_epochs!r}"
+                )
             cfg = replace(base, seed=derive_point_seed(base.seed, index), **overrides)
             model = SstModel(cfg)
             fit(model, train, val, epochs_max=point_epochs, patience=patience)

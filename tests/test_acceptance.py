@@ -379,7 +379,9 @@ def test_c09_npy_round_trip_bit_exact(tmp_path):
 def test_c10_two_point_grid_selects_trained(tmp_path):
     manifest = make_dataset(tmp_path / "data")
     cfg_path = tmp_path / "grid.json"
-    cfg_path.write_text(json.dumps({**SMALL_CONFIG, "epochs_max": [0, 25]}))
+    # the control point runs one epoch, 3 steps into a 50-step warmup: a grid
+    # rejects an epoch cap below 1, so it cannot be left untrained
+    cfg_path.write_text(json.dumps({**SMALL_CONFIG, "epochs_max": [1, 25]}))
     out = tmp_path / "g"
     code = run_cli(["grid", "--manifest", str(manifest), "--config",
                     str(cfg_path), "--out", str(out)])

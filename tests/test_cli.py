@@ -14,6 +14,7 @@ import pytest
 from sst.cli import CHECKPOINT_NAME, TRAIN_LOG_NAME, main
 from sst.model import load_weights
 from sst.npyio import read_npy, write_npy
+from sst.training import derive_point_seed
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -106,6 +107,23 @@ class TestTrain:
         # checkpoint is loadable and congruent with the dataset
         model = load_weights(out / "checkpoint.sst")
         assert model.config.n_features == 9
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs-max", "0"), ("--epochs-max", "-3"), ("--epochs-max", "two"),
+        ("--patience", "0"), ("--patience", "-2"),
+    ])
+    def test_epoch_cap_or_patience_below_one_exits_2(self, dataset, tmp_path, capsys,
+                                                     flag, value):
+        """An untrained checkpoint is never written for a cap below 1, and a
+        patience below 1 does not pass for 1."""
+        cfg = config_file(tmp_path)
+        out = tmp_path / "run"
+        code = run(["train", "--manifest", str(dataset), "--config", str(cfg),
+                    flag, value, "--out", str(out)])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (out / CHECKPOINT_NAME).exists()
+        assert not (out / TRAIN_LOG_NAME).exists()
 
     def test_two_runs_bit_identical(self, dataset, tmp_path):
         cfg = config_file(tmp_path)
@@ -271,7 +289,7 @@ class TestTrain:
 
 class TestGrid:
     def test_two_point_grid(self, dataset, tmp_path, capsys):
-        cfg = config_file(tmp_path, epochs_max=[0, 8])
+        cfg = config_file(tmp_path, epochs_max=[1, 8])
         out = tmp_path / "g"
         assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),
                     "--out", str(out)]) == 0
@@ -281,8 +299,31 @@ class TestGrid:
         assert len(rows) == 3  # header + 2 points
         best = json.loads((out / "best_config.json").read_text())
         assert best["dmodel"] == 16
-        # the trained point wins over the 0-epoch one
+        # the trained point wins over the one-epoch one, still in warmup
         assert float(rows[2][2]) > float(rows[1][2])
+
+    @pytest.mark.parametrize("flag", ["--epochs-max", "--patience"])
+    def test_epoch_cap_or_patience_below_one_exits_2(self, dataset, tmp_path, capsys, flag):
+        cfg = config_file(tmp_path, epochs_max=[1, 2])
+        out = tmp_path / "g"
+        code = run(["grid", "--manifest", str(dataset), "--config", str(cfg),
+                    flag, "0", "--out", str(out)])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (out / "grid_results.csv").exists()
+
+    def test_epoch_cap_below_one_in_the_file_fails_its_point(self, dataset, tmp_path, capsys):
+        cfg = config_file(tmp_path, epochs_max=[-1, 2])
+        out = tmp_path / "g"
+        assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),
+                    "--out", str(out)]) == 0
+        assert "point 1/2 failed: epochs_max" in capsys.readouterr().out
+        with open(out / "grid_results.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert "epochs_max" in rows[1][4] and rows[1][2] == "nan"
+        assert rows[2][4] == ""
+        best = json.loads((out / "best_config.json").read_text())
+        assert best["seed"] == derive_point_seed(0, 1)
 
     def test_confirm_gate(self, dataset, tmp_path, capsys):
         cfg = config_file(tmp_path,

@@ -1,5 +1,7 @@
 """Data pipeline: scaling, imputation, padding, splits, counts, synthesis."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,77 @@ class TestSynthDataset:
         with pytest.raises(ValueError, match="infeasible"):
             D.synth_dataset(m=1, n_samples=20, timesteps=2, n_features=4,
                             separability=4.0, imbalance=0.01, seed=1)
+
+
+# sha256 over every array synth_dataset returns, for the benchmark's three
+# workload shapes and two odd ones: one feature over 30 steps (a [t, 1] mean
+# sums pairwise) and three features over 9 steps.
+SYNTH_DIGESTS = [
+    (dict(m=11, n_samples=20608, timesteps=4, n_features=40, separability=4.0,
+          imbalance=0.2, seed=0),
+     "260946f942f29177659e1c60bddc6b596ba577a933dbb6b55107c6de2320f765"),
+    (dict(m=2, n_samples=2630, timesteps=2, n_features=20, separability=4.0,
+          imbalance=0.10, seed=0, ratios=(2000, 500, 130)),
+     "b2008450d71953dea5617ff61a0197fe107f9d9ebd0b54cde6f59a6b52cd2a3d"),
+    (dict(m=4, n_samples=1280, timesteps=48, n_features=12, separability=8.0,
+          imbalance=0.3, seed=0, ratios=(640, 128, 512)),
+     "652607729ae5b0fa1f94ef227937f8aefbc424db22f5e60781ea149e9a720307"),
+    (dict(m=1, n_samples=300, timesteps=30, n_features=1, separability=np.inf,
+          imbalance=0.3, seed=9),
+     "cb41f72a8f1583dbf4206b8c14a35dc3ab9c2bd7c92e68ca5c1fcb9c77394320"),
+    (dict(m=3, n_samples=777, timesteps=9, n_features=3, separability=2.0,
+          imbalance=0.25, seed=4),
+     "8ae1c8d58c5e181c51408d4f58ee0962edb6617f72e1b17813b8eb36d455d268"),
+]
+
+
+def synth_digest(data) -> str:
+    h = hashlib.sha256(repr(data.timesteps).encode())
+    arrays = [data.latent_scores]
+    for b in (data.train, data.val, data.test):
+        arrays += [b.x.data, b.pad_mask.data, b.labels.data, b.label_mask.data]
+    for a in arrays:
+        h.update(repr((a.shape, a.dtype.str)).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kw, digest", SYNTH_DIGESTS,
+                         ids=["cli_pipeline", "c07", "long_seq", "one_feature", "nine_steps"])
+def test_synth_arrays_match_pinned_digest(kw, digest):
+    """Every array, the latent scores included, keeps its bits."""
+    assert synth_digest(D.synth_dataset(**kw)) == digest
+
+
+def synth_per_sample(m, n_samples, timesteps, n_features, seed):
+    """The inputs and latent scores built one sample at a time: one normal
+    draw and one mean per sequence, then ``pad_sequences``."""
+    rng = np.random.default_rng(seed)
+    lengths = np.where(rng.random(n_samples) < 0.75, timesteps,
+                       rng.integers(1, timesteps + 1, size=n_samples))
+    sequences = [rng.normal(size=(t, n_features)) for t in lengths]
+    latent_w = np.zeros((m, n_features))
+    for j in range(m):
+        chosen = rng.choice(n_features, size=max(1, n_features // 2), replace=False)
+        latent_w[j, chosen] = rng.normal(size=chosen.size)
+    pooled = np.stack([s.mean(axis=0) for s in sequences])
+    x, pad_mask, _ = D.pad_sequences(sequences, t_star=timesteps)
+    return x, pad_mask, pooled @ latent_w.T
+
+
+@pytest.mark.parametrize("m, n, t, f, seed", [
+    (1, 300, 30, 1, 9), (3, 777, 9, 3, 4), (2, 400, 12, 2, 21), (4, 500, 3, 17, 5),
+])
+def test_synth_matches_the_per_sample_loop(m, n, t, f, seed):
+    data = D.synth_dataset(m=m, n_samples=n, timesteps=t, n_features=f,
+                           separability=4.0, imbalance=0.2, seed=seed)
+    x, pad_mask, scores = synth_per_sample(m, n, t, f, seed)
+    splits = (data.train, data.val, data.test)
+    got_x = np.concatenate([b.x.data for b in splits])
+    got_mask = np.concatenate([b.pad_mask.data for b in splits])
+    assert got_x.tobytes() == x.tobytes()
+    assert got_mask.tobytes() == pad_mask.tobytes()
+    assert data.latent_scores.tobytes() == scores.tobytes()
 
 
 class TestManifestRoundTrip:

@@ -299,6 +299,43 @@ class TestGradCheck:
                 return (T.layer_norm(*ops, eps) * upstream).sum()
             assert grad_check(f, Tensor(args[slot])) < 1e-6
 
+    def test_layer_norm_bits_equal_the_ndarray_mean_expressions(self):
+        """Forward and all three gradients equal the op's formulas written
+        with ``ndarray.mean`` bit for bit, at a transformer-block shape."""
+        rng = np.random.default_rng(RNG_SEED)
+        x, gain, bias = rng.normal(size=(8, 12, 64)), rng.normal(size=64), rng.normal(size=64)
+        upstream = rng.normal(size=x.shape)
+        eps = 1e-6
+
+        centered = x - x.mean(axis=-1, keepdims=True)
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        std = np.sqrt(var + eps)
+        normed = centered / std
+        g_normed = upstream * gain
+        want = (
+            normed * gain + bias,
+            (g_normed - g_normed.mean(axis=-1, keepdims=True)
+             - normed * (g_normed * normed).mean(axis=-1, keepdims=True)) / std,
+            (upstream * normed).sum(axis=(0, 1)),
+            upstream.sum(axis=(0, 1)),
+        )
+
+        ops = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+        out = T.layer_norm(*ops, eps)
+        (out * Tensor(upstream)).sum().backward()
+        got = (out.data, *(t.grad for t in ops))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_relu_bits_equal_where(self):
+        """Bitwise equal to ``np.where(x > 0, x, 0.0)``: ``-0.0`` and every
+        negative give ``+0.0``."""
+        rng = np.random.default_rng(RNG_SEED)
+        x = np.concatenate([rng.normal(size=97), [-0.0, 0.0, -1e-300, 5e-324, -5e-324]])
+        got = T.relu(Tensor(x)).data
+        assert got.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+        assert not np.signbit(got).any()
+
     def test_sum_of_squares_matches_composite(self):
         """The fused penalty adds the per-tensor sums in order, so its value
         equals the chain of mul, sum and add nodes it replaces bit for bit."""

@@ -299,6 +299,38 @@ class TestAdam:
         np.testing.assert_array_equal(adam.v[0], before[2])
         assert adam.t == before[3]
 
+    def test_five_steps_equal_the_out_of_place_formulas(self):
+        """The in-place update keeps every bit of parameters and moments,
+        for two parameters, one of them without a gradient on one step."""
+        rng = np.random.default_rng(5)
+        b1, b2, eps = Adam.beta1, Adam.beta2, Adam.eps
+        shapes = ((6, 5), (7,))
+        params = [Tensor(rng.normal(size=sh), requires_grad=True) for sh in shapes]
+        adam = Adam([(f"p{i}", p) for i, p in enumerate(params)])
+        ref_p = [p.data.copy() for p in params]
+        ref_m = [np.zeros(sh) for sh in shapes]
+        ref_v = [np.zeros(sh) for sh in shapes]
+        for t in range(1, 6):
+            lr = 0.01 * t
+            grads = [rng.normal(size=sh) for sh in shapes]
+            if t == 3:
+                grads[1] = None
+            for p, g in zip(params, grads):
+                p.grad = None if g is None else g.copy()
+            adam.step(lr)
+            for i, g in enumerate(grads):
+                if g is None:
+                    continue
+                ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
+                ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * g * g
+                m_hat = ref_m[i] / (1.0 - b1 ** t)
+                v_hat = ref_v[i] / (1.0 - b2 ** t)
+                ref_p[i] = ref_p[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for i, p in enumerate(params):
+                assert p.data.tobytes() == ref_p[i].tobytes()
+                assert adam.m[i].tobytes() == ref_m[i].tobytes()
+                assert adam.v[i].tobytes() == ref_v[i].tobytes()
+
     def test_update_signs_invariant_to_loss_scale(self):
         rng = np.random.default_rng(13)
         g = rng.normal(size=(4, 3))
@@ -484,9 +516,11 @@ class TestGridSearch:
         assert math.isfinite(results[0].mean_val_auc)
 
     def test_trained_point_beats_untrained(self):
+        """One epoch stays inside the warmup, so point 0 is all but
+        untrained; an epoch cap below 1 is a failed point."""
         data = small_data()
         best, results = grid_search(
-            small_config(), {"epochs_max": [0, 25]}, data.train, data.val
+            small_config(), {"epochs_max": [1, 25]}, data.train, data.val
         )
         assert len(results) == 2
         assert results[1].mean_val_auc > results[0].mean_val_auc
@@ -514,6 +548,19 @@ class TestGridSearch:
         assert results[0].error != ""  # 16 % 3 != 0
         assert results[1].error == ""
         assert best.n_heads == 2
+
+    @pytest.mark.parametrize("cap", [0, -2, 1.5, True])
+    def test_epoch_cap_below_one_is_a_failed_point(self, cap):
+        """A cap that is not an integer of at least 1 fails its point, named
+        by the key, and the search goes on to the next point."""
+        data = small_data()
+        best, results = grid_search(
+            small_config(), {"epochs_max": [cap, 2]}, data.train, data.val
+        )
+        assert "epochs_max" in results[0].error
+        assert math.isnan(results[0].mean_val_auc)
+        assert results[1].error == ""
+        assert best.seed == TR.derive_point_seed(0, 1)
 
     def test_existing_rows_skip_training(self):
         data = small_data()
