@@ -281,8 +281,8 @@ def load_split(x_path, y_path, *, n_tasks: int) -> Batch:
     y_npy = read_npy(y_path)
     if x_npy.fortran_order or y_npy.fortran_order:
         raise ValueError("pipeline accepts C-order arrays only")
-    x = x_npy.array.astype(np.float64)
-    y = y_npy.array.astype(np.float64)
+    x = x_npy.array.astype(np.float64, copy=False)
+    y = y_npy.array.astype(np.float64, copy=False)
     if x.ndim != 3:
         raise ValueError(f"{x_path}: expected rank-3 [n, T, F], got shape {x.shape}")
     if y.ndim != 2 or y.shape[1] != 2 * n_tasks:

@@ -14,14 +14,14 @@ normalization gains.
 
 Dense layers and layer normalization run as the fused ``tensor.linear`` and
 ``tensor.layer_norm`` ops, one tape node each (plus one for a dense layer's
-activation) with hand-written backward passes.  Multi-head attention is the
-three input projections, the fused ``tensor.attention`` op (head split,
-scaled scores, key padding penalty, softmax, weighted values and head merge
-in one node) and the output projection: five tape nodes in all.  Dropout is
-one ``mul`` node, pooling is a ``mul``, a ``sum`` and a ``div``, and the
-residual connections are ``add`` nodes; apart from the loss, these and the
-activations are the only other ops on a training tape.  These layers check
-no operand shapes themselves: the op each one calls is the one place that
+activation) with hand-written backward passes.  Multi-head attention is one
+``tensor.attention`` node: the three input projections, head split, scaled
+scores, key padding penalty, softmax, weighted values, head merge and output
+projection.  Pooling is one ``tensor.masked_mean`` node, dropout is one
+``mul`` node and the residual connections are ``add`` nodes, so an encoder
+block records ten nodes in training; apart from the loss, these and the
+activations are the only ops on a training tape.  These layers check no
+operand shapes themselves: the op each one calls is the one place that
 raises ``ShapeMismatchError``.
 """
 
@@ -131,14 +131,10 @@ class MultiHeadAttention(Module):
         self.w_o = Tensor(glorot_uniform(dmodel, dmodel, rng), requires_grad=True)
 
     def __call__(self, x: Tensor, pad_mask: np.ndarray, return_weights: bool = False):
-        pad_mask = np.asarray(pad_mask, dtype=np.float64)
         # padded keys get a -1e9 logit so softmax assigns them exactly zero
-        result = T.attention(x @ self.w_q, x @ self.w_k, x @ self.w_v,
-                             pad_mask * MASK_LOGIT, self.n_heads, return_weights)
-        if return_weights:
-            context, weights = result
-            return context @ self.w_o, weights
-        return result @ self.w_o
+        penalty = np.asarray(pad_mask, dtype=np.float64) * MASK_LOGIT
+        return T.attention(x, self.w_q, self.w_k, self.w_v, self.w_o, penalty,
+                           self.n_heads, return_weights)
 
 
 class LayerNorm(Module):
@@ -189,26 +185,6 @@ class EncoderBlock(Module):
 
 
 def global_average_pool(x: Tensor, pad_mask: np.ndarray) -> Tensor:
-    """Mean over real (unpadded) timesteps only.  Padded positions carry
-    zeros after masking, so they neither shift the sum nor the count."""
-    if x.ndim != 3:
-        raise ShapeMismatchError(f"pooling expects [B, T, D], got {x.shape}")
-    pad_mask = np.asarray(pad_mask, dtype=np.float64)
-    batch, length, _ = x.shape
-    if pad_mask.shape != (batch, length):
-        raise ShapeMismatchError(
-            f"pad_mask shape {pad_mask.shape} does not match batch ({batch}, {length})"
-        )
-    counts = unpadded_counts(pad_mask)
-    masked = x * Tensor((1.0 - pad_mask)[:, :, None])
-    return masked.sum(axis=1) / Tensor(counts[:, None])
-
-
-def unpadded_counts(pad_mask: np.ndarray) -> np.ndarray:
-    """Number of unpadded timesteps of each row of a [B, T] mask; a row
-    with none raises ``DomainError`` naming its index."""
-    counts = (1.0 - pad_mask).sum(axis=1)
-    if np.any(counts == 0):
-        bad = int(np.argmax(counts == 0))
-        raise DomainError(f"sample {bad} has no unpadded timesteps to pool over")
-    return counts
+    """Mean over real (unpadded) timesteps only: the ``tensor.masked_mean``
+    op."""
+    return T.masked_mean(x, pad_mask)

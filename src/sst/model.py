@@ -193,7 +193,7 @@ class SstModel(L.Module):
         cfg = self.config
         data, mask = _array(x), _array(pad_mask)
         self._check_input(data.shape, mask.shape)
-        L.unpadded_counts(mask)
+        T.unpadded_counts(mask)
         n, length = data.shape[:2]
         if n == 1:
             data, mask = np.repeat(data, 2, axis=0), np.repeat(mask, 2, axis=0)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,8 @@ class NpyArray:
 
 def write_npy(arr, path) -> None:
     """Serialize a float32/float64 ndarray, C-order, version 1.0; an
-    interrupted write leaves any previous file at ``path`` intact."""
+    interrupted write leaves any previous file at ``path`` intact.  A
+    C-contiguous array is written from its own buffer, without a copy."""
     arr = np.asarray(arr)
     if arr.dtype == np.float32:
         descr = "<f4"
@@ -65,16 +67,24 @@ def write_npy(arr, path) -> None:
         fh.write(bytes(VERSION))
         fh.write(len(header_bytes).to_bytes(2, "little"))
         fh.write(header_bytes)
-        fh.write(np.ascontiguousarray(arr).tobytes())
+        fh.write(memoryview(np.ravel(arr)).cast("B"))
 
 
 def read_npy(path) -> NpyArray:
+    """Read and parse an NPY file.  The file is read into one buffer, and
+    the returned array is a writable view of it, so the data is held once."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        size = os.fstat(fh.fileno()).st_size
+        blob = bytearray(size)
+        got = fh.readinto(blob)
+    if got != size:
+        raise NpyFormatError(f"file ends at byte {got}, but its size was {size} bytes")
     return parse_npy(blob)
 
 
-def parse_npy(blob: bytes) -> NpyArray:
+def parse_npy(blob: bytes | bytearray) -> NpyArray:
+    """Parse an NPY image.  The array is a view of ``blob``'s data section,
+    read-only when ``blob`` is ``bytes``."""
     if blob[:6] != MAGIC:
         raise NpyFormatError("bad magic at byte 0: not an NPY file")
     if len(blob) < 10:
@@ -122,7 +132,7 @@ def parse_npy(blob: bytes) -> NpyArray:
 
     flat = np.frombuffer(blob, dtype=dtype, count=count, offset=data_offset)
     try:  # an empty array can still declare more axes or extent than numpy allows
-        array = np.reshape(flat.copy(), shape, order="F" if fortran_order else "C")
+        array = np.reshape(flat, shape, order="F" if fortran_order else "C")
     except ValueError as err:
         raise NpyFormatError(f"shape {shape!r} at byte 10 is not representable: {err}") from err
     return NpyArray(descr=descr, shape=tuple(shape), fortran_order=fortran_order, array=array)

@@ -27,18 +27,20 @@ finite; only a non-finite sum (a NaN or Inf, or a sum that merely
 overflows) pays for the elementwise test.  It reads values, not IEEE
 status flags, which OpenBLAS loses for the rows a worker thread computes.
 
-The registered ops are the ones the model and its training loop call:
-``matmul``, five fused ops, ``add``, ``mul``, ``div``, ``sigmoid``, ``relu``
-and ``sum``.  ``matmul`` multiplies ``a [.., M, K]`` by a 2-D ``b [K, N]``
-as single 2-D GEMMs over ``a``'s flattened leading axes, forward and
-backward, so the weight gradient is one ``[K, N]`` product.  The five fused
-ops each record one tape node with a hand-written backward in place of a
-chain of elementwise nodes: ``linear`` (``x @ w + b``), ``layer_norm``
-(normalize the trailing axis, then scale and shift), ``sum_of_squares``
-(the L2 penalty over a list of weight tensors), ``attention`` (multi-head
-scaled dot-product attention from the query, key and value projections to
-the merged context) and ``multitask_nll`` (the class-weighted multi-task
-loss with optional uncertainty weighting).
+The registered ops are the ones the model and its training loop call, six
+fused ops, ``add``, ``mul``, ``sigmoid`` and ``relu``, plus ``sum``, the
+full reduction to a scalar that gradient checks and the benchmark's layer
+probes differentiate.  The fused ops each record one tape node with a
+hand-written backward in place of a chain of nodes: ``linear``
+(``x @ w + b`` as one 2-D GEMM over ``x``'s flattened leading axes, forward
+and backward), ``layer_norm`` (normalize the trailing axis, then scale and
+shift), ``sum_of_squares`` (the L2 penalty over a list of weight tensors),
+``attention`` (multi-head self-attention from the input through the
+query, key and value projections to the output projection),
+``masked_mean`` (the mean over each sample's unpadded timesteps) and
+``multitask_nll`` (the class-weighted multi-task loss with optional
+uncertainty weighting).  A training step of a two-layer model with
+dropout and L2 records 36 nodes.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ __all__ = [
     "DomainError",
     "NumericsError",
     "OPS",
-    "matmul",
     "linear",
     "layer_norm",
     "sum_of_squares",
@@ -64,10 +65,11 @@ __all__ = [
     "multitask_nll",
     "add",
     "mul",
-    "div",
     "sigmoid",
     "relu",
     "reduce_sum",
+    "masked_mean",
+    "unpadded_counts",
     "backward",
     "no_grad",
     "grad_check",
@@ -184,17 +186,8 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None):
-        return reduce_sum(self, axis)
+    def sum(self):
+        return reduce_sum(self)
 
     def backward(self) -> None:
         backward(self)
@@ -252,43 +245,26 @@ def _op(name: str):
 # -- linear algebra ----------------------------------------------------
 
 
-@_op("matmul")
-def matmul(a, b):
-    """Matrix product of ``a [.., M, K]`` and a 2-D ``b [K, N]``."""
-    a, b = _ensure_tensor(a), _ensure_tensor(b)
-    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeMismatchError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return _affine(a, b, None)
-
-
 @_op("linear")
 def linear(x, w, b):
-    """Affine map ``x [.., K] @ w [K, N] + b [N]`` as one tape node."""
+    """Affine map ``x [.., K] @ w [K, N] + b [N]`` as one tape node, with
+    ``x``'s leading axes flattened so that forward and backward are each one
+    2-D GEMM and the weight gradient is the single product ``x2d.T @ g2d``."""
     x, w, b = _ensure_tensor(x), _ensure_tensor(w), _ensure_tensor(b)
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeMismatchError(
             f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}"
         )
-    return _affine(x, w, b)
-
-
-def _affine(x: Tensor, w: Tensor, b: Tensor | None):
-    """The body of ``x @ w`` (plus ``b``) for a 2-D ``w``, with ``x``'s
-    leading axes flattened so that forward and backward are each one 2-D
-    GEMM and the weight gradient is the single product ``x2d.T @ g2d``."""
     x2 = x.data.reshape(-1, x.shape[-1])
     out = x2 @ w.data
-    if b is not None:
-        out += b.data
+    out += b.data
 
     def bwd(g: np.ndarray):
         g2 = g.reshape(-1, w.shape[1])
         gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        grads = (gx, x2.T @ g2)
-        return grads if b is None else grads + (g2.sum(axis=0),)
+        return gx, x2.T @ g2, g2.sum(axis=0)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return out.reshape(x.shape[:-1] + (w.shape[1],)), parents, bwd
+    return out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, b), bwd
 
 
 @_op("layer_norm")
@@ -347,31 +323,38 @@ def sum_of_squares(tensors: Sequence[Tensor]):
 
 
 @_op("attention")
-def attention(q, k, v, penalty, n_heads: int, return_weights: bool = False):
-    """Multi-head scaled dot-product attention as one tape node.
+def attention(x, w_q, w_k, w_v, w_o, penalty, n_heads: int, return_weights: bool = False):
+    """Multi-head scaled dot-product self-attention, with its four
+    projections, as one tape node.
 
-    ``q``, ``k`` and ``v`` are ``[B, T, D]`` projections whose trailing axis
-    holds ``n_heads`` heads of width ``d_k = D / n_heads`` side by side.
-    Per head the op computes ``softmax(q kᵀ / sqrt(d_k) + penalty) v``,
-    where ``penalty [B, T]`` is a constant logit added to every query's
-    score for that key (a large negative value masks a padded key), and
-    returns the heads merged back into ``[B, T, D]``.  With
+    ``x [B, T, D]`` is projected by the ``[D, D]`` weights ``w_q``, ``w_k``
+    and ``w_v``, each one 2-D GEMM over ``x``'s flattened rows.  The
+    trailing axis of each projection holds ``n_heads`` heads of width
+    ``d_k = D / n_heads`` side by side.  Per head the op computes
+    ``softmax(q kᵀ / sqrt(d_k) + penalty) v``, where ``penalty [B, T]`` is a
+    constant logit added to every query's score for that key (a large
+    negative value masks a padded key), merges the heads back into
+    ``[B, T, D]`` and returns that context times ``w_o``.  With
     ``return_weights`` it also returns a copy of the ``[B, h, T, T]``
     softmax weights.
 
-    The arithmetic is that of the plain composite of split-head
-    transposes, batched matmuls, scaling, the penalty add and a
-    max-subtracted softmax, in that order, so values match it bit for bit.
-    The scaled scores are checked like an op output.  Backward keeps only
-    the head-split inputs and the weights.
+    The arithmetic is that of the plain composite of projection GEMMs,
+    split-head transposes, batched matmuls, scaling, the penalty add, a
+    max-subtracted softmax and the output GEMM, in that order, so values
+    match it bit for bit.  The scaled scores are checked like an op output.
+    ``x`` is a parent three times, once per projection, so ``backward``
+    adds its three gradient terms one at a time, in the order q, k, v, as
+    it would for three separate projection nodes.  Backward keeps ``x``,
+    the head-split projections, the softmax weights and the merged context.
     """
-    q, k, v = _ensure_tensor(q), _ensure_tensor(k), _ensure_tensor(v)
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % n_heads:
+    x, w_q, w_k, w_v, w_o = (_ensure_tensor(t) for t in (x, w_q, w_k, w_v, w_o))
+    if x.ndim != 3 or x.shape[-1] % n_heads or any(
+            w.shape != (x.shape[-1],) * 2 for w in (w_q, w_k, w_v, w_o)):
         raise ShapeMismatchError(
-            f"attention: incompatible shapes {q.shape}, {k.shape} and {v.shape} "
-            f"for {n_heads} heads"
+            f"attention: incompatible shapes {x.shape}, {w_q.shape}, {w_k.shape}, "
+            f"{w_v.shape} and {w_o.shape} for {n_heads} heads"
         )
-    batch, length, width = q.shape
+    batch, length, width = x.shape
     penalty = np.asarray(penalty, dtype=np.float64)
     if penalty.shape != (batch, length):
         raise ShapeMismatchError(
@@ -379,20 +362,17 @@ def attention(q, k, v, penalty, n_heads: int, return_weights: bool = False):
         )
     d_k = width // n_heads
     c = 1.0 / math.sqrt(d_k)
+    x2 = x.data.reshape(-1, width)
 
-    def split(t: Tensor) -> np.ndarray:  # [B, T, D] -> [B, h, T, d_k]
-        return np.ascontiguousarray(
-            t.data.reshape(batch, length, n_heads, d_k).transpose(0, 2, 1, 3)
-        )
+    def split(a2: np.ndarray, axes=(0, 2, 1, 3)) -> np.ndarray:  # [B*T, D] -> [B, h, T, d_k]
+        return np.ascontiguousarray(a2.reshape(batch, length, n_heads, d_k).transpose(axes))
 
-    def merge(a: np.ndarray) -> np.ndarray:  # [B, h, T, d_k] -> [B, T, D]
-        return a.transpose(0, 2, 1, 3).reshape(batch, length, width)
+    def merge(a: np.ndarray) -> np.ndarray:  # [B, h, T, d_k] -> [B*T, D]
+        return a.transpose(0, 2, 1, 3).reshape(-1, width)
 
-    q4, v4 = split(q), split(v)
+    q4, v4 = split(x2 @ w_q.data), split(x2 @ w_v.data)
     # k is kept as the contiguous [B, h, d_k, T] operand that q @ kᵀ reads
-    k4t = np.ascontiguousarray(
-        k.data.reshape(batch, length, n_heads, d_k).transpose(0, 2, 3, 1)
-    )
+    k4t = split(x2 @ w_k.data, (0, 2, 3, 1))
     w = np.matmul(q4, k4t)
     w *= c
     _check_finite(w, "attention")
@@ -400,21 +380,29 @@ def attention(q, k, v, penalty, n_heads: int, return_weights: bool = False):
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
-    out = merge(np.matmul(w, v4))
+    context = merge(np.matmul(w, v4))
+    out = (context @ w_o.data).reshape(x.shape)
 
     def bwd(g: np.ndarray):
-        gc = g.reshape(batch, length, n_heads, d_k).transpose(0, 2, 1, 3)
+        g2 = g.reshape(-1, width)
+        gc = (g2 @ w_o.data.T).reshape(batch, length, n_heads, d_k).transpose(0, 2, 1, 3)
         gw = np.matmul(gc, v4.transpose(0, 1, 3, 2))
         gv = np.matmul(w.transpose(0, 1, 3, 2), gc)
         gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
         gs *= c
         gq = np.matmul(gs, k4t.transpose(0, 1, 3, 2))
         gk = np.matmul(q4.transpose(0, 1, 3, 2), gs).transpose(0, 1, 3, 2)
-        return merge(gq), merge(gk), merge(gv)
+        grads = []
+        for gp, wp in ((gq, w_q), (gk, w_k), (gv, w_v)):
+            gp2 = merge(gp)
+            grads += [(gp2 @ wp.data.T).reshape(x.shape) if x.requires_grad else None,
+                      x2.T @ gp2]
+        return (*grads, context.T @ g2)
 
+    parents = (x, w_q, x, w_k, x, w_v, w_o)
     if return_weights:
-        return out, (q, k, v), bwd, w.copy()
-    return out, (q, k, v), bwd
+        return out, parents, bwd, w.copy()
+    return out, parents, bwd
 
 
 @_op("multitask_nll")
@@ -496,23 +484,6 @@ def mul(a, b):
             lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
 
 
-@_op("div")
-def div(a, b):
-    a, b = _ensure_tensor(a), _ensure_tensor(b)
-    if np.any(b.data == 0.0):
-        raise DomainError("div: division by zero")
-    out = a.data / b.data
-
-    def bwd(g: np.ndarray):
-        # -(g / b) * (a / b), not -g * a / (b * b): b * b underflows to 0
-        # for |b| below about 1e-162 although the gradient is finite
-        g_over_b = g / b.data
-        gb = _unbroadcast(-g_over_b * out, b.shape) if b.requires_grad else None
-        return _unbroadcast(g_over_b, a.shape), gb
-
-    return out, (a, b), bwd
-
-
 @_op("sigmoid")
 def sigmoid(x):
     """Numerically stable logistic function; output lies in [0, 1]."""
@@ -537,33 +508,45 @@ def relu(x):
 # -- reductions --------------------------------------------------------
 
 
-def _norm_axis(axis: int, ndim: int, op: str) -> int:
-    if not -ndim <= axis < ndim:
-        raise ShapeMismatchError(f"{op}: axis {axis} out of range for ndim {ndim}")
-    return axis % ndim
-
-
-def _check_nonempty(x: Tensor, axis, op: str) -> None:
-    if axis is None:
-        if x.size == 0:
-            raise DomainError(f"{op}: reduction over empty tensor")
-    elif x.shape[axis] == 0:
-        raise DomainError(f"{op}: reduction over empty axis {axis}")
-
-
 @_op("sum")
-def reduce_sum(x, axis=None):
+def reduce_sum(x):
+    """Sum of every element, as a scalar."""
     x = _ensure_tensor(x)
-    if axis is not None:
-        axis = _norm_axis(axis, x.ndim, "sum")
-    _check_nonempty(x, axis, "sum")
-    out = x.data.sum(axis=axis)
+    if x.size == 0:
+        raise DomainError("sum: reduction over empty tensor")
+    return (np.asarray(x.data.sum()), (x,),
+            lambda g: (np.ascontiguousarray(np.broadcast_to(g, x.shape)),))
 
-    def bwd(g: np.ndarray):
-        g = g.reshape((1,) * x.ndim) if axis is None else np.expand_dims(g, axis)
-        return (np.ascontiguousarray(np.broadcast_to(g, x.shape)),)
 
-    return np.asarray(out), (x,), bwd
+def unpadded_counts(pad_mask: np.ndarray) -> np.ndarray:
+    """Number of unpadded timesteps of each row of a [B, T] mask (1.0 marks
+    a padded step); a row with none raises ``DomainError`` naming its
+    index."""
+    counts = (1.0 - pad_mask).sum(axis=1)
+    if np.any(counts == 0):
+        bad = int(np.argmax(counts == 0))
+        raise DomainError(f"sample {bad} has no unpadded timesteps to pool over")
+    return counts
+
+
+@_op("masked_mean")
+def masked_mean(x, pad_mask):
+    """Mean of ``x [B, T, D]`` over each sample's unpadded timesteps, where
+    ``pad_mask [B, T]`` holds 1.0 at a padded step, as one tape node.
+    Padded steps are zeroed before the sum, so they shift neither the sum
+    nor the count.  Values and gradient equal those of the chain
+    ``(x * keep).sum(axis=1) / counts`` bit for bit."""
+    x = _ensure_tensor(x)
+    pad_mask = np.asarray(pad_mask, dtype=np.float64)
+    if x.ndim != 3 or pad_mask.shape != x.shape[:2]:
+        raise ShapeMismatchError(
+            f"masked_mean: expects x [B, T, D] and pad_mask [B, T], "
+            f"got {x.shape} and {pad_mask.shape}"
+        )
+    counts = unpadded_counts(pad_mask)[:, None]
+    keep = (1.0 - pad_mask)[:, :, None]
+    out = (x.data * keep).sum(axis=1) / counts
+    return out, (x,), lambda g: ((g / counts)[:, None, :] * keep,)
 
 
 # -- backward pass -----------------------------------------------------

@@ -34,7 +34,7 @@ class TestDenseLayer:
         b = layer.bias
 
         def f(w):
-            return T.relu(x @ w + b).sum()
+            return T.relu(T.linear(x, w, b)).sum()
 
         assert grad_check(f, Tensor(layer.weight.data + 0.05)) < 1e-6
 

@@ -1,10 +1,15 @@
 """NPY container: bit-exact round trips, numpy interop, corruption errors."""
 
+import os
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sst import npyio
 from sst.npyio import NpyFormatError, parse_npy, read_npy, write_npy
 
 
@@ -41,6 +46,36 @@ def test_numpy_reads_our_file(tmp_path):
     path = tmp_path / "ours.npy"
     write_npy(arr, path)
     np.testing.assert_array_equal(np.load(path), arr)
+
+
+def test_read_and_write_hold_the_data_once(tmp_path):
+    """A write sends the array's own buffer, and a read parses the one
+    buffer the file was read into: under tracemalloc the write peaks far
+    below one copy of the data and the read near one copy."""
+    arr = np.random.default_rng(5).normal(size=(512, 1024))
+    path = tmp_path / "big.npy"
+    tracemalloc.start()
+    try:
+        write_npy(arr, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        got = read_npy(path).array
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == arr.tobytes() and got.flags.writeable
+    assert write_peak < 0.25 * arr.nbytes
+    assert read_peak < 1.25 * arr.nbytes
+
+
+def test_file_shorter_than_its_size_is_a_format_error(tmp_path, monkeypatch):
+    """A file that shrinks while it is read fills less than its buffer."""
+    path = tmp_path / "a.npy"
+    write_npy(np.zeros(4), path)
+    grown = SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=os.fstat(fd).st_size + 8))
+    monkeypatch.setattr(npyio, "os", grown)
+    with pytest.raises(NpyFormatError, match="file ends at byte"):
+        read_npy(path)
 
 
 def test_data_section_64_byte_aligned(tmp_path):

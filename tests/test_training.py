@@ -468,9 +468,11 @@ def tape_ops(root: Tensor) -> list[str]:
 class TestTape:
     def test_every_registered_op_is_on_a_training_tape(self):
         """One training step of a one-block model with dropout, uncertainty
-        weighting and L2 records every op in T.OPS and no other, so no op
-        stays registered without a pipeline caller.  The node count is
-        pinned: 3 embedding, 14 per block, 3 pooling, 8 head, 4 loss."""
+        weighting and L2 records every op in T.OPS but ``sum`` and no other,
+        so no op stays registered without a pipeline caller; ``sum`` stays
+        as the scalar that gradient checks and the perfbench layer probes
+        differentiate.  The node count is pinned: 3 embedding, 10 per block,
+        1 pooling, 8 head, 4 loss."""
         data = small_data()
         cfg = small_config(uncertainty_weighting=True, l2_factor=1e-4)
         model = SstModel(cfg)
@@ -483,8 +485,8 @@ class TestTape:
                                        model.l2_parameters(), cfg.l2_factor)
         loss.backward()
         ops = tape_ops(loss)
-        assert set(ops) == set(T.OPS)
-        assert len(ops) == 32
+        assert set(T.OPS) - set(ops) == {"sum"} and set(ops) <= set(T.OPS)
+        assert len(ops) == 26
         assert ops.count("multitask_nll") == 1 and tw.log_var.grad is not None
 
 
