@@ -4,7 +4,7 @@
 
 import numpy as np
 
-from sst.tensor import DomainError, Tensor, grad_check, layer_norm, linear, sigmoid
+from sst.tensor import DomainError, Tensor, grad_check, linear, residual_norm, sigmoid
 
 # tensors wrap float64 arrays; requires_grad marks trainable leaves
 w = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
@@ -33,6 +33,6 @@ print(f"grad_check relative error: {err:.2e}")
 
 # domain violations raise immediately instead of propagating Inf or NaN
 try:
-    layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
+    residual_norm(x, None, None, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
 except DomainError as e:
     print("caught:", e)

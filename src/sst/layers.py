@@ -12,15 +12,18 @@ order being stable.  ``l2_parameters()`` is the subset subject to weight
 decay: the matrices (dense and projection weights), never the 1-D biases or
 normalization gains.
 
-Dense layers and layer normalization run as the fused ``tensor.linear`` and
-``tensor.layer_norm`` ops, one tape node each (plus one for a dense layer's
-activation) with hand-written backward passes.  Multi-head attention is one
-``tensor.attention`` node: the three input projections, head split, scaled
-scores, key padding penalty, softmax, weighted values, head merge and output
-projection.  Pooling is one ``tensor.masked_mean`` node, dropout is one
-``mul`` node and the residual connections are ``add`` nodes, so an encoder
-block records ten nodes in training; apart from the loss, these and the
-activations are the only ops on a training tape.  These layers check no
+Dense layers run as the fused ``tensor.linear`` op, one tape node (plus
+one for the activation) with a hand-written backward pass.  Multi-head
+attention is one ``tensor.attention`` node: the three input projections,
+head split, scaled scores, key padding penalty, softmax, weighted values,
+head merge and output projection.  Each post-norm residual connection,
+``LayerNorm(x + dropout(sublayer(x)))``, is one ``tensor.residual_norm``
+node that takes the dropout mask as a plain array, so an encoder block
+records six nodes in training: attention, two dense layers, the feed-
+forward activation and two residual norms.  Pooling is one
+``tensor.masked_mean`` node and the other dropouts are one ``mul`` node
+each; apart from the loss, these and the activations are the only ops on
+a training tape.  These layers check no
 operand shapes themselves: the op each one calls is the one place that
 raises ``ShapeMismatchError``.
 """
@@ -139,7 +142,10 @@ class MultiHeadAttention(Module):
 
 class LayerNorm(Module):
     """Normalize the trailing axis to zero mean and unit variance, then apply
-    a learned affine transform."""
+    a learned affine transform.  Called with a sublayer output ``s`` and its
+    dropout mask ``keep`` (or ``None``), it normalizes ``x + s * keep``:
+    the post-norm residual connection, as one ``tensor.residual_norm``
+    node."""
 
     EPS = 1e-9
 
@@ -147,20 +153,27 @@ class LayerNorm(Module):
         self.gain = Tensor(np.ones(width), requires_grad=True)
         self.bias = Tensor(np.zeros(width), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias, self.EPS)
+    def __call__(self, x: Tensor, s: Tensor | None = None,
+                 keep: np.ndarray | None = None) -> Tensor:
+        return T.residual_norm(x, s, keep, self.gain, self.bias, self.EPS)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero each element with probability rate and scale
-    survivors by 1/(1-rate) so the expected value is unchanged.  Identity
-    when not training."""
+def dropout_mask(shape: tuple[int, ...], rate: float, training: bool,
+                 rng: np.random.Generator) -> np.ndarray | None:
+    """Inverted dropout's mask: 0 with probability rate, else 1/(1-rate), so
+    the expected value of a masked element is unchanged.  ``None`` when not
+    training or at rate 0, where dropout is the identity."""
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must lie in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(keep)
+        return None
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout of ``x`` by ``dropout_mask``, as one ``mul`` node."""
+    keep = dropout_mask(x.shape, rate, training, rng)
+    return x if keep is None else x * Tensor(keep)
 
 
 class EncoderBlock(Module):
@@ -178,10 +191,11 @@ class EncoderBlock(Module):
 
     def __call__(self, x: Tensor, pad_mask: np.ndarray, training: bool,
                  rng: np.random.Generator) -> Tensor:
+        rate = self.dropout_rate
         attended = self.attention(x, pad_mask)
-        x = self.norm_attn(x + dropout(attended, self.dropout_rate, training, rng))
+        x = self.norm_attn(x, attended, dropout_mask(attended.shape, rate, training, rng))
         ff = self.ff_contract(self.ff_expand(x))
-        return self.norm_ff(x + dropout(ff, self.dropout_rate, training, rng))
+        return self.norm_ff(x, ff, dropout_mask(ff.shape, rate, training, rng))
 
 
 def global_average_pool(x: Tensor, pad_mask: np.ndarray) -> Tensor:

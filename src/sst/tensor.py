@@ -33,14 +33,15 @@ full reduction to a scalar that gradient checks and the benchmark's layer
 probes differentiate.  The fused ops each record one tape node with a
 hand-written backward in place of a chain of nodes: ``linear``
 (``x @ w + b`` as one 2-D GEMM over ``x``'s flattened leading axes, forward
-and backward), ``layer_norm`` (normalize the trailing axis, then scale and
+and backward), ``residual_norm`` (the post-norm residual connection: add a
+dropout-masked sublayer output, normalize the trailing axis, then scale and
 shift), ``sum_of_squares`` (the L2 penalty over a list of weight tensors),
 ``attention`` (multi-head self-attention from the input through the
 query, key and value projections to the output projection),
 ``masked_mean`` (the mean over each sample's unpadded timesteps) and
 ``multitask_nll`` (the class-weighted multi-task loss with optional
 uncertainty weighting).  A training step of a two-layer model with
-dropout and L2 records 36 nodes.
+dropout and L2 records 28 nodes.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ __all__ = [
     "NumericsError",
     "OPS",
     "linear",
-    "layer_norm",
+    "residual_norm",
     "sum_of_squares",
     "attention",
     "multitask_nll",
@@ -120,9 +121,10 @@ def no_grad():
 def _check_finite(arr: np.ndarray, op: str) -> None:
     # A NaN or Inf anywhere makes the sum non-finite, so a finite sum proves
     # every element finite.  A non-finite sum may be mere overflow of finite
-    # elements, which the elementwise test then tells apart.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = arr.sum()
+    # elements, which the elementwise test then tells apart.  Callers run it
+    # inside their own ``np.errstate`` block, so an overflowing sum warns
+    # nothing.
+    total = arr.sum()
     if not math.isfinite(total) and not np.all(np.isfinite(arr)):
         raise NumericsError(f"non-finite values produced by op '{op}'")
 
@@ -141,7 +143,8 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
-        _check_finite(arr, "tensor")
+        with np.errstate(all="ignore"):
+            _check_finite(arr, "tensor")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -215,9 +218,10 @@ def _op(name: str):
 
     The body checks its arguments and returns ``(output, parents, backward)``,
     optionally followed by extra values that the op returns after its output
-    tensor.  It runs with numpy's floating-point warnings off, so an
-    overflow, invalid operation or division by zero reaches the finiteness
-    check of the output, which raises :class:`NumericsError` naming the op.
+    tensor.  It runs, together with the finiteness check of its output,
+    inside one block with numpy's floating-point warnings off, so an
+    overflow, invalid operation or division by zero reaches that check,
+    which raises :class:`NumericsError` naming the op.
     The output records its parents and backward closure only while the tape
     is on and some parent requires a gradient."""
     def register(body):
@@ -225,7 +229,7 @@ def _op(name: str):
         def op(*args, **kwargs):
             with np.errstate(all="ignore"):
                 data, parents, bwd, *extra = body(*args, **kwargs)
-            _check_finite(data, name)
+                _check_finite(data, name)
             out = Tensor.__new__(Tensor)
             out.data = np.ascontiguousarray(data, dtype=np.float64)
             out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
@@ -245,6 +249,23 @@ def _op(name: str):
 # -- linear algebra ----------------------------------------------------
 
 
+def _weight_grad(a2: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """The weight gradient ``a2.T @ g2`` of ``[rows, K]`` and ``[rows, N]``
+    operands, with the shared ``rows`` axis zero-padded to a multiple of 32.
+
+    OpenBLAS (measured on 0.3.31 with Haswell kernels) splits that axis
+    across threads in a way that changes the bits of the product when it
+    is not a multiple of 32; padded, the product is the same under one
+    thread and two.  Zero rows add nothing, but at one thread the padded
+    product can still differ in its last bits from the unpadded one for
+    some row counts."""
+    pad = -a2.shape[0] % 32
+    if pad:
+        a2 = np.concatenate((a2, np.zeros((pad, a2.shape[1]))))
+        g2 = np.concatenate((g2, np.zeros((pad, g2.shape[1]))))
+    return a2.T @ g2
+
+
 @_op("linear")
 def linear(x, w, b):
     """Affine map ``x [.., K] @ w [K, N] + b [N]`` as one tape node, with
@@ -262,49 +283,69 @@ def linear(x, w, b):
     def bwd(g: np.ndarray):
         g2 = g.reshape(-1, w.shape[1])
         gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        return gx, x2.T @ g2, g2.sum(axis=0)
+        return gx, _weight_grad(x2, g2), g2.sum(axis=0)
 
     return out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, b), bwd
 
 
-@_op("layer_norm")
-def layer_norm(x, gain, bias, eps: float):
-    """Normalize the trailing axis to zero mean and unit variance, then scale
+@_op("residual_norm")
+def residual_norm(x, s, keep, gain, bias, eps: float):
+    """The post-norm sublayer connection ``LayerNorm(x + s * keep)`` of
+    Vaswani et al. (2017, §5.4) as one tape node: add the sublayer output
+    ``s``, masked by the dropout ``keep`` mask, to the residual ``x``,
+    normalize the trailing axis to zero mean and unit variance, then scale
     by ``gain`` and shift by ``bias`` (both of the trailing width).
 
-    The arithmetic is that of the composite ``(x - mean) / sqrt(var + eps)``
-    with the biased variance, recorded as one tape node.  The variance is
-    checked like an op output, so an overflow inside the op raises just as
-    the composite's intermediate ops would.
+    ``keep`` is a plain ndarray of ``x``'s shape, or ``None`` for no
+    dropout; with ``s`` also ``None`` the op is a plain layer norm of
+    ``x``.  The arithmetic is that of the chain of ``mul``, ``add`` and the
+    composite ``(z - mean) / sqrt(var + eps)`` with the biased variance,
+    in that order, so values and gradients match that chain bit for bit:
+    ``x`` gets the gradient ``gz`` of the sum ``z`` and ``s`` gets
+    ``gz * keep``.  The variance is checked like an op output; a NaN or Inf
+    in ``z`` makes it non-finite too.
     """
     x, gain, bias = _ensure_tensor(x), _ensure_tensor(gain), _ensure_tensor(bias)
-    if x.ndim < 1 or gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
+    s = None if s is None else _ensure_tensor(s)
+    if (x.ndim < 1 or gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]
+            or (s is not None and s.shape != x.shape)
+            or (keep is not None and (s is None or np.shape(keep) != x.shape))):
         raise ShapeMismatchError(
-            f"layer_norm: incompatible shapes {x.shape}, {gain.shape} and {bias.shape}"
+            f"residual_norm: incompatible shapes x {x.shape}, "
+            f"s {None if s is None else s.shape}, keep {np.shape(keep) if keep is not None else None}, "
+            f"gain {gain.shape} and bias {bias.shape}"
         )
     if not eps > 0.0:
-        raise DomainError(f"layer_norm: eps must be positive, got {eps}")
+        raise DomainError(f"residual_norm: eps must be positive, got {eps}")
+    if s is None:
+        z = x.data
+    else:
+        z = x.data + (s.data if keep is None else s.data * keep)
     # each mean is ndarray.mean's own arithmetic, a sum then a division by
     # the count, without its Python wrapper
     n = x.shape[-1]
-    centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    centered = z - np.add.reduce(z, axis=-1, keepdims=True) / n
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
-    _check_finite(var, "layer_norm")
+    _check_finite(var, "residual_norm")
     std = np.sqrt(var + eps)
     normed = centered / std
     out = normed * gain.data + bias.data
 
     def bwd(g: np.ndarray):
         g_normed = g * gain.data
-        gx = (
+        gz = (
             g_normed
             - np.add.reduce(g_normed, axis=-1, keepdims=True) / n
             - normed * (np.add.reduce(g_normed * normed, axis=-1, keepdims=True) / n)
         ) / std
         lead = tuple(range(g.ndim - 1))
-        return gx, (g * normed).sum(axis=lead), g.sum(axis=lead)
+        affine = ((g * normed).sum(axis=lead), g.sum(axis=lead))
+        if s is None:
+            return (gz, *affine)
+        return (gz, gz if keep is None else gz * keep, *affine)
 
-    return out, (x, gain, bias), bwd
+    parents = (x, gain, bias) if s is None else (x, s, gain, bias)
+    return out, parents, bwd
 
 
 @_op("sum_of_squares")
@@ -396,8 +437,8 @@ def attention(x, w_q, w_k, w_v, w_o, penalty, n_heads: int, return_weights: bool
         for gp, wp in ((gq, w_q), (gk, w_k), (gv, w_v)):
             gp2 = merge(gp)
             grads += [(gp2 @ wp.data.T).reshape(x.shape) if x.requires_grad else None,
-                      x2.T @ gp2]
-        return (*grads, context.T @ g2)
+                      _weight_grad(x2, gp2)]
+        return (*grads, _weight_grad(context, g2))
 
     parents = (x, w_q, x, w_k, x, w_v, w_o)
     if return_weights:
@@ -480,8 +521,11 @@ def add(a, b):
 @_op("mul")
 def mul(a, b):
     a, b = _ensure_tensor(a), _ensure_tensor(b)
+    # an operand that needs no gradient, such as a dropout mask or the L2
+    # factor, gets none computed
     return (a.data * b.data, (a, b),
-            lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
+            lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                       _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
 @_op("sigmoid")

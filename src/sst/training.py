@@ -135,41 +135,55 @@ def learning_rate(sched: LrSchedule, step: int) -> float:
 
 
 class Adam:
-    """Adam with bias correction; the learning rate is supplied per step."""
+    """Adam with bias correction; the learning rate is supplied per step.
+
+    The moments ``m`` and ``v`` and the step's scratch arrays are each one
+    flat float64 buffer over every parameter in order; ``m[i]`` and ``v[i]``
+    are parameter i's views into them."""
 
     beta1, beta2, eps = 0.9, 0.98, 1e-9
 
     def __init__(self, params: list[tuple[str, Tensor]]):
         self.params = params
         self.t = 0
-        self.m = [np.zeros_like(p.data) for _, p in params]
-        self.v = [np.zeros_like(p.data) for _, p in params]
-        # per-parameter scratch for m_hat and v_hat, reused every step
-        self._m_hat = [np.empty_like(p.data) for _, p in params]
-        self._v_hat = [np.empty_like(p.data) for _, p in params]
+        edges = np.cumsum([0] + [p.data.size for _, p in params])
+        self._spans = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        # moments, the gathered gradient and scratch for m_hat and v_hat
+        self._m, self._v, self._g, self._m_hat, self._v_hat = np.zeros((5, edges[-1]))
+        self.m = [self._m[s].reshape(p.shape) for s, (_, p) in zip(self._spans, params)]
+        self.v = [self._v[s].reshape(p.shape) for s, (_, p) in zip(self._spans, params)]
 
     def step(self, lr: float) -> None:
         """One update of every parameter that has a gradient.  All gradients
         are checked first, so a non-finite one raises before any parameter,
         moment or the step count changes."""
-        for name, p in self.params:
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise NumericsError(f"non-finite gradient for parameter '{name}'")
+        grads = [p.grad for _, p in self.params]
+        g = self._g
+        if grads and all(grad is not None for grad in grads):
+            np.concatenate(grads, axis=None, out=g)
+            spans = [slice(None)]
+        else:
+            spans = []
+            for s, grad in zip(self._spans, grads):
+                if grad is not None:
+                    g[s] = grad.reshape(-1)
+                    spans.append(s)
+        if not all(np.isfinite(g[s]).all() for s in spans):
+            name = next(name for name, p in self.params
+                        if p.grad is not None and not np.isfinite(p.grad).all())
+            raise NumericsError(f"non-finite gradient for parameter '{name}'")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, (_, p) in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
+        for s in spans:
             # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
             # p - lr*m_hat / (sqrt(v_hat) + eps), computed in place with the
             # same operations in the same order, so with the same bits
-            m, v, m_hat, v_hat = self.m[i], self.v[i], self._m_hat[i], self._v_hat[i]
+            m, v, gs, m_hat, v_hat = self._m[s], self._v[s], g[s], self._m_hat[s], self._v_hat[s]
             m *= b1
-            m += np.multiply(1.0 - b1, g, out=m_hat)
+            m += np.multiply(1.0 - b1, gs, out=m_hat)
             v *= b2
-            np.multiply(1.0 - b2, g, out=v_hat)
-            v_hat *= g
+            np.multiply(1.0 - b2, gs, out=v_hat)
+            v_hat *= gs
             v += v_hat
             np.divide(m, 1.0 - b1 ** self.t, out=m_hat)
             np.divide(v, 1.0 - b2 ** self.t, out=v_hat)
@@ -177,7 +191,9 @@ class Adam:
             np.sqrt(v_hat, out=v_hat)
             v_hat += self.eps
             m_hat /= v_hat
-            p.data = p.data - m_hat
+        for s, (_, p), grad in zip(self._spans, self.params, grads):
+            if grad is not None:
+                p.data = p.data - self._m_hat[s].reshape(p.shape)
 
     def zero_grad(self) -> None:
         for _, p in self.params:

@@ -138,21 +138,19 @@ class TestTrain:
         assert (a / "train_log.csv").read_bytes() == (b / "train_log.csv").read_bytes()
 
 
-    @pytest.mark.xfail(
-        (os.cpu_count() or 1) > 1, strict=True,
-        reason="OpenBLAS 0.3.31 blocks the shared axis of a threaded GEMM differently: "
-               "a weight gradient [32, K] @ [K, N] of 1M multiply-adds or more "
-               "whose K = batch rows x T is not a multiple of 32 changes bits under two "
-               "threads; here the last batch of 145 samples gives K = 580")
-    def test_bit_identical_under_one_and_two_blas_threads(self, tmp_path):
-        """Batches of 256 samples at T=4 give [1024, 32] @ [32, 32] and
-        [1024, 32] @ [32, 64] GEMMs, which OpenBLAS splits across two
-        threads; the split must not change a bit of the outputs.  Each run
-        is a subprocess because the thread count is fixed at import."""
+    @pytest.mark.parametrize("timesteps,samples", [("4", "1200"), ("3", "1300")])
+    def test_bit_identical_under_one_and_two_blas_threads(self, tmp_path, timesteps, samples):
+        """Batches of 256 samples give [256 x T, 32] @ [32, 32] and
+        [256 x T, 32] @ [32, 64] GEMMs, which OpenBLAS splits across two
+        threads; the split must not change a bit of the outputs.  The last
+        batch of each epoch has 145 samples at T=4 and 221 at T=3, so its
+        weight gradients share a row axis of 580 or 663, not a multiple of
+        32, and large enough to be threaded.  Each run is a subprocess
+        because the thread count is fixed at import."""
         data = tmp_path / "data"
         argv = list(SYNTH) + ["--out", str(data)]
-        argv[argv.index("--samples") + 1] = "1200"
-        argv[argv.index("--timesteps") + 1] = "4"
+        argv[argv.index("--samples") + 1] = samples
+        argv[argv.index("--timesteps") + 1] = timesteps
         assert run(argv) == 0
         cfg = config_file(tmp_path, dmodel=32, dff=64, batch_size=256)
         outputs = []

@@ -268,6 +268,18 @@ class TestBlockedInference:
         assert _validate(model, batch, tw) == (
             loss, task_aucs(pair_probabilities(raw), labels, label_mask))
 
+    def test_token_rows_cap_the_block(self, monkeypatch):
+        """Under a byte budget that fits all seven samples, a cap of 12
+        token rows, three samples at T=4, runs blocks of 3 and 4 with the
+        scores of one forward."""
+        x, mask = seven_samples()
+        model, sizes = blocked_tiny_model(monkeypatch, 7)
+        monkeypatch.setattr(model_module, "INFER_BLOCK_TOKENS", 3 * 4)
+        with no_grad():
+            raw = tiny_model(seed=1).forward(x, mask).data
+        np.testing.assert_array_equal(model.infer(x, mask), raw)
+        assert sizes == [3, 4]
+
     def test_one_sample_scores_as_its_row_in_a_larger_input(self):
         """At c07's shape, a sample scored alone gets bit for bit the scores
         of its row in a larger input; a one-sample forward would run the

@@ -180,8 +180,27 @@ def _square(rng):
     return rng.normal(size=(3, 3))
 
 
-# Fixed layer-norm gain and bias for the case that differentiates its input
+# Fixed layer-norm gain and bias for the cases that differentiate its
+# input, and a sublayer output with a dropout mask of rate 0.5 for the
+# residual ones
 _GAIN_BIAS = np.random.default_rng(RNG_SEED + 2).normal(size=(2, 4))
+_RESIDUAL = np.random.default_rng(RNG_SEED + 6).normal(size=(3, 4))
+_KEEP = (np.random.default_rng(RNG_SEED + 7).random((3, 4)) >= 0.5) / 0.5
+
+
+def _layer_norm(x, gain, bias, eps):
+    """A plain layer norm: ``residual_norm`` without a sublayer output."""
+    return T.residual_norm(x, None, None, gain, bias, eps)
+
+
+def _residual_case(slot):
+    """``residual_norm`` with a masked sublayer output, differentiated
+    through the residual ``x`` (0) or the sublayer output ``s`` (1)."""
+    def fn(t):
+        args = [Tensor(_RESIDUAL), Tensor(_RESIDUAL[::-1].copy())]
+        args[slot] = t
+        return _squared_sum(T.residual_norm(*args, _KEEP, *_GAIN_BIAS, 1e-9))
+    return fn
 
 # Fixed input and projection weights for the attention grad cases: B=1,
 # T=3, D=4 (two heads of width 2), with the last key padded.
@@ -238,7 +257,9 @@ def _nll_case(wrt):
 # (name, scalar-valued fn of one tensor, domain-safe input maker)
 GRAD_CASES = [
     ("linear", lambda x: _squared_sum(T.linear(x, x, Tensor([0.5, -1.0, 2.0]))), _square),
-    ("layer_norm", lambda x: (T.layer_norm(x, *_GAIN_BIAS, 1e-9) * x).sum(), _anywhere),
+    ("residual_norm", lambda x: (_layer_norm(x, *_GAIN_BIAS, 1e-9) * x).sum(), _anywhere),
+    ("residual_norm", _residual_case(0), _anywhere),
+    ("residual_norm", _residual_case(1), _anywhere),
     ("sum_of_squares", lambda x: T.sum_of_squares([x, Tensor(np.ones(3)), x * 3.0]),
      _anywhere),
     ("attention", _attention_case(0), lambda rng: _anywhere(rng, (1, 3, 4))),
@@ -301,7 +322,7 @@ class TestGradCheck:
         centered = x - x.mean(axis=-1, keepdims=True)
         var = (centered * centered).mean(axis=-1, keepdims=True)
         want = centered / np.sqrt(var + eps) * gain + bias
-        got = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias), eps).data
+        got = _layer_norm(Tensor(x), Tensor(gain), Tensor(bias), eps).data
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
         args = [x, gain, bias]
@@ -309,7 +330,7 @@ class TestGradCheck:
             def f(t, slot=slot):
                 ops = [Tensor(a) for a in args]
                 ops[slot] = t
-                return (T.layer_norm(*ops, eps) * upstream).sum()
+                return (_layer_norm(*ops, eps) * upstream).sum()
             assert grad_check(f, Tensor(args[slot])) < 1e-6
 
     def test_layer_norm_bits_equal_the_ndarray_mean_expressions(self):
@@ -334,11 +355,61 @@ class TestGradCheck:
         )
 
         ops = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
-        out = T.layer_norm(*ops, eps)
+        out = _layer_norm(*ops, eps)
         (out * Tensor(upstream)).sum().backward()
         got = (out.data, *(t.grad for t in ops))
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("masked", [True, False], ids=["keep", "no_keep"])
+    def test_residual_norm_bits_equal_the_mul_add_layer_norm_chain(self, masked):
+        """Output and the gradients of x, the sublayer's weight and bias,
+        gain and bias equal those of the chain it replaces bit for bit, with
+        the sublayer a linear map of x, so x also feeds a second consumer.
+        The replica records ``mul`` and ``add`` on the tape, runs the layer
+        norm in numpy with ``ndarray.mean``, and feeds the norm's input
+        gradient back through the surrogate loss ``sum(z * gz)``."""
+        rng = np.random.default_rng(RNG_SEED)
+        arrays = (rng.normal(size=(4, 3, 8)), rng.normal(size=(8, 8)), rng.normal(size=8),
+                  rng.normal(size=8), rng.normal(size=8))
+        keep = (rng.random((4, 3, 8)) >= 0.25) / 0.75 if masked else None
+        upstream = rng.normal(size=(4, 3, 8))
+        eps = 1e-9
+
+        x, w, b, gain, bias = (Tensor(a, requires_grad=True) for a in arrays)
+        out = T.residual_norm(x, T.linear(x, w, b), keep, gain, bias, eps)
+        (out * Tensor(upstream)).sum().backward()
+        got = (out.data, x.grad, w.grad, b.grad, gain.grad, bias.grad)
+
+        x, w, b = (Tensor(a, requires_grad=True) for a in arrays[:3])
+        gain, bias = arrays[3:]
+        s = T.linear(x, w, b)
+        z = x + (s if keep is None else s * Tensor(keep))
+        centered = z.data - z.data.mean(axis=-1, keepdims=True)
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        std = np.sqrt(var + eps)
+        normed = centered / std
+        g_normed = upstream * gain
+        gz = (g_normed - g_normed.mean(axis=-1, keepdims=True)
+              - normed * (g_normed * normed).mean(axis=-1, keepdims=True)) / std
+        (z * Tensor(gz)).sum().backward()
+        want = (normed * gain + bias, x.grad, w.grad, b.grad,
+                (upstream * normed).sum(axis=(0, 1)), upstream.sum(axis=(0, 1)))
+        for g, wanted in zip(got, want):
+            assert g.tobytes() == wanted.tobytes()
+
+    def test_residual_norm_rejects_bad_shapes_and_eps(self):
+        x, ones = Tensor(np.ones((2, 3))), np.ones(3)
+        with pytest.raises(ShapeMismatchError):
+            T.residual_norm(x, Tensor(np.ones((2, 4))), None, ones, ones, 1e-9)
+        with pytest.raises(ShapeMismatchError):
+            T.residual_norm(x, x, np.ones(3), ones, ones, 1e-9)
+        with pytest.raises(ShapeMismatchError):
+            T.residual_norm(x, None, np.ones((2, 3)), ones, ones, 1e-9)
+        with pytest.raises(ShapeMismatchError):
+            T.residual_norm(x, x, None, np.ones(2), ones, 1e-9)
+        with pytest.raises(DomainError, match="eps"):
+            T.residual_norm(x, x, None, ones, ones, 0.0)
 
     def test_relu_bits_equal_where(self):
         """Bitwise equal to ``np.where(x > 0, x, 0.0)``: ``-0.0`` and every
@@ -614,7 +685,9 @@ class TestErrorContracts:
         np.testing.assert_array_equal(out.data, [1e308, 1e308])
 
     def test_finite_check_opposite_infinities_name_op(self):
-        with pytest.raises(NumericsError, match="'probe'"):
+        """The check runs inside its caller's ``errstate`` block, which
+        silences the invalid sum inf + -inf."""
+        with pytest.raises(NumericsError, match="'probe'"), np.errstate(all="ignore"):
             T._check_finite(np.array([np.inf, -np.inf]), "probe")
 
     def test_finite_check_lone_nan_names_op(self):

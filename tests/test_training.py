@@ -1,6 +1,7 @@
 """Training stack: weight formula, loss oracles, schedule, Adam, fit loop,
 grid search."""
 
+import hashlib
 import logging
 import math
 
@@ -10,7 +11,7 @@ import pytest
 from sst import tensor as T
 from sst import training as TR
 from sst.data import Batch, label_counts, synth_dataset
-from sst.model import SstConfig, SstModel
+from sst.model import SstConfig, SstModel, save_weights
 from sst.tensor import NumericsError, Tensor
 from sst.training import (
     Adam,
@@ -331,6 +332,39 @@ class TestAdam:
                 assert adam.m[i].tobytes() == ref_m[i].tobytes()
                 assert adam.v[i].tobytes() == ref_v[i].tobytes()
 
+    def test_step_after_a_non_finite_gradient_equals_the_formulas(self):
+        """An inf in the second of three gradients raises naming that
+        parameter, while the finite first one is already gathered into the
+        flat buffer; the next step, in which the first parameter has no
+        gradient, still equals the per-parameter formulas bit for bit, and
+        the moments stay views of the flat buffers."""
+        rng = np.random.default_rng(9)
+        b1, b2, eps = Adam.beta1, Adam.beta2, Adam.eps
+        shapes = ((3, 2), (4,), (2, 2))
+        params = [Tensor(rng.normal(size=sh), requires_grad=True) for sh in shapes]
+        adam = Adam([(f"p{i}", p) for i, p in enumerate(params)])
+        bad = [rng.normal(size=sh) for sh in shapes]
+        bad[1][2] = np.inf
+        for p, g in zip(params, bad):
+            p.grad = g
+        with pytest.raises(NumericsError, match="'p1'"):
+            adam.step(0.01)
+        assert adam.t == 0
+        grads = [None, rng.normal(size=shapes[1]), rng.normal(size=shapes[2])]
+        before = [p.data.copy() for p in params]
+        for p, g in zip(params, grads):
+            p.grad = g
+        adam.step(0.01)
+        assert params[0].data.tobytes() == before[0].tobytes()
+        assert not adam.m[0].any() and not adam.v[0].any()
+        for i in (1, 2):
+            m = (1.0 - b1) * grads[i]
+            v = (1.0 - b2) * grads[i] * grads[i]
+            want = before[i] - 0.01 * (m / (1.0 - b1)) / (np.sqrt(v / (1.0 - b2)) + eps)
+            assert params[i].data.tobytes() == want.tobytes()
+            assert adam.m[i].tobytes() == m.tobytes() and adam.v[i].tobytes() == v.tobytes()
+            assert adam.m[i].base is adam.m[0].base is adam.v[i].base
+
     def test_update_signs_invariant_to_loss_scale(self):
         rng = np.random.default_rng(13)
         g = rng.normal(size=(4, 3))
@@ -465,13 +499,40 @@ def tape_ops(root: Tensor) -> list[str]:
     return ops
 
 
+class TestPinnedBits:
+    # sha256 of the checkpoint after a 2-epoch fit on a c07-shaped problem
+    # (T=2, dmodel 32, two layers of two heads, batches of 256 with dropout
+    # and L2), recorded before the encoder's residual connections were
+    # fused; every batch's row count is a multiple of 32.  A refactor that
+    # moves a bit of training moves these.
+    CHECKPOINT_SHA256 = {
+        True: "398779c50df3ba00aaee4df712d9a1a80bfc3173fc8ac010d3a67df6744e9568",
+        False: "2518cf91c81df3af5244c98e1e2cf66782f54dfc233c6d1749dbfefd635fbc6f",
+    }
+
+    @pytest.mark.parametrize("uncertainty", [True, False], ids=["weighted", "unweighted"])
+    def test_checkpoint_bits_after_two_epochs(self, tmp_path, uncertainty):
+        data = synth_dataset(m=2, n_samples=840, timesteps=2, n_features=20,
+                             separability=4.0, imbalance=0.10, seed=0,
+                             ratios=(640, 160, 40))
+        cfg = SstConfig(n_features=21, max_timesteps=2, n_tasks=2, n_layers=2,
+                        dmodel=32, dff=32, n_heads=2, dropout_rate=0.1, lr_factor=0.5,
+                        batch_size=256, warmup=4000, uncertainty_weighting=uncertainty,
+                        l2_factor=1e-4, seed=0)
+        model = SstModel(cfg)
+        fit(model, data.train, data.val, epochs_max=2, patience=2)
+        save_weights(model, tmp_path / "checkpoint.sst")
+        digest = hashlib.sha256((tmp_path / "checkpoint.sst").read_bytes()).hexdigest()
+        assert digest == self.CHECKPOINT_SHA256[uncertainty]
+
+
 class TestTape:
     def test_every_registered_op_is_on_a_training_tape(self):
         """One training step of a one-block model with dropout, uncertainty
         weighting and L2 records every op in T.OPS but ``sum`` and no other,
         so no op stays registered without a pipeline caller; ``sum`` stays
         as the scalar that gradient checks and the perfbench layer probes
-        differentiate.  The node count is pinned: 3 embedding, 10 per block,
+        differentiate.  The node count is pinned: 3 embedding, 6 per block,
         1 pooling, 8 head, 4 loss."""
         data = small_data()
         cfg = small_config(uncertainty_weighting=True, l2_factor=1e-4)
@@ -486,7 +547,7 @@ class TestTape:
         loss.backward()
         ops = tape_ops(loss)
         assert set(T.OPS) - set(ops) == {"sum"} and set(ops) <= set(T.OPS)
-        assert len(ops) == 26
+        assert len(ops) == 22
         assert ops.count("multitask_nll") == 1 and tw.log_var.grad is not None
 
 
