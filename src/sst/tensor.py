@@ -124,7 +124,7 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
     # elements, which the elementwise test then tells apart.  Callers run it
     # inside their own ``np.errstate`` block, so an overflowing sum warns
     # nothing.
-    total = arr.sum()
+    total = np.add.reduce(arr, axis=None)  # arr.sum() without its Python wrapper
     if not math.isfinite(total) and not np.all(np.isfinite(arr)):
         raise NumericsError(f"non-finite values produced by op '{op}'")
 
@@ -319,27 +319,32 @@ def residual_norm(x, s, keep, gain, bias, eps: float):
         raise DomainError(f"residual_norm: eps must be positive, got {eps}")
     if s is None:
         z = x.data
+    elif keep is None:
+        z = x.data + s.data
     else:
-        z = x.data + (s.data if keep is None else s.data * keep)
+        z = s.data * keep
+        z += x.data  # IEEE addition commutes, so this is x + s * keep exactly
     # each mean is ndarray.mean's own arithmetic, a sum then a division by
-    # the count, without its Python wrapper
+    # the count, without its Python wrapper; the in-place steps compute the
+    # same values as the composite's expressions with fewer temporaries
     n = x.shape[-1]
-    centered = z - np.add.reduce(z, axis=-1, keepdims=True) / n
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
+    normed = z - np.add.reduce(z, axis=-1, keepdims=True) / n
+    var = np.add.reduce(normed * normed, axis=-1, keepdims=True) / n
     _check_finite(var, "residual_norm")
     std = np.sqrt(var + eps)
-    normed = centered / std
-    out = normed * gain.data + bias.data
+    normed /= std
+    out = normed * gain.data
+    out += bias.data
 
     def bwd(g: np.ndarray):
-        g_normed = g * gain.data
-        gz = (
-            g_normed
-            - np.add.reduce(g_normed, axis=-1, keepdims=True) / n
-            - normed * (np.add.reduce(g_normed * normed, axis=-1, keepdims=True) / n)
-        ) / std
+        gz = g * gain.data
+        scratch = gz * normed
+        g_dot = np.add.reduce(scratch, axis=-1, keepdims=True) / n
+        gz -= np.add.reduce(gz, axis=-1, keepdims=True) / n
+        gz -= np.multiply(normed, g_dot, out=scratch)
+        gz /= std
         lead = tuple(range(g.ndim - 1))
-        affine = ((g * normed).sum(axis=lead), g.sum(axis=lead))
+        affine = (np.multiply(g, normed, out=scratch).sum(axis=lead), g.sum(axis=lead))
         if s is None:
             return (gz, *affine)
         return (gz, gz if keep is None else gz * keep, *affine)
@@ -536,7 +541,8 @@ def sigmoid(x):
     # below; both are computed whole and selected elementwise, which is
     # cheaper than gathering and scattering through boolean masks.
     ex = np.exp(-np.abs(x.data))
-    out = np.where(x.data >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    denom = 1.0 + ex
+    out = np.where(x.data >= 0, 1.0 / denom, ex / denom)
     return out, (x,), lambda g: (g * out * (1.0 - out),)
 
 
