@@ -213,6 +213,36 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+# numpy reduces a trailing axis one row at a time, which for a short axis
+# costs far more than the arithmetic.  Below this length its sum adds each
+# row's elements in order onto +0.0, so adding whole columns in that order
+# gives the same bits; the test suite checks that against ``ndarray.sum``
+# at every length.
+_SHORT_AXIS = 8
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1, keepdims=True)``, bit for bit."""
+    n = a.shape[-1]
+    if not 0 < n < _SHORT_AXIS:
+        return a.sum(axis=-1, keepdims=True)
+    total = a[..., :1] + 0.0
+    for i in range(1, n):
+        total += a[..., i:i + 1]
+    return total
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)``; a maximum is exact in any order."""
+    n = a.shape[-1]
+    if not 0 < n < _SHORT_AXIS:
+        return a.max(axis=-1, keepdims=True)
+    top = a[..., :1].copy()
+    for i in range(1, n):
+        np.maximum(top, a[..., i:i + 1], out=top)
+    return top
+
+
 def _op(name: str):
     """Register an op body under ``name`` in ``OPS``.
 
@@ -423,9 +453,9 @@ def attention(x, w_q, w_k, w_v, w_o, penalty, n_heads: int, return_weights: bool
     w *= c
     _check_finite(w, "attention")
     w += penalty[:, None, None, :]
-    w -= w.max(axis=-1, keepdims=True)
+    w -= _row_max(w)
     np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    w /= _row_sum(w)
     context = merge(np.matmul(w, v4))
     out = (context @ w_o.data).reshape(x.shape)
 
@@ -434,7 +464,7 @@ def attention(x, w_q, w_k, w_v, w_o, penalty, n_heads: int, return_weights: bool
         gc = (g2 @ w_o.data.T).reshape(batch, length, n_heads, d_k).transpose(0, 2, 1, 3)
         gw = np.matmul(gc, v4.transpose(0, 1, 3, 2))
         gv = np.matmul(w.transpose(0, 1, 3, 2), gc)
-        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+        gs = w * (gw - _row_sum(gw * w))
         gs *= c
         gq = np.matmul(gs, k4t.transpose(0, 1, 3, 2))
         gk = np.matmul(q4.transpose(0, 1, 3, 2), gs).transpose(0, 1, 3, 2)
@@ -486,7 +516,7 @@ def multitask_nll(probs, labels, label_mask, w, log_var=None):
         )
     inside = (probs.data >= PROB_FLOOR) & (probs.data <= 1.0 - PROB_FLOOR)
     pairs = np.clip(probs.data, PROB_FLOOR, 1.0 - PROB_FLOOR).reshape(n, m, 2)
-    pair_sum = pairs.sum(axis=2, keepdims=True)
+    pair_sum = _row_sum(pairs)
     p = pairs / pair_sum
     coef = labels * np.repeat(mask, 2, axis=1) * w.reshape(-1)[None, :]
     present = np.repeat(np.maximum(mask.sum(axis=0), 1.0), 2)
@@ -505,7 +535,7 @@ def multitask_nll(probs, labels, label_mask, w, log_var=None):
             g_jt = g * e
             g_s = (g * 0.5 + -((g * per_jt) * e)).reshape(m, 2)
         g_p = (-(g_jt / present) * coef).reshape(n, m, 2) / p
-        g_sum = ((-g_p * pairs) / (pair_sum * pair_sum)).sum(axis=(2,), keepdims=True)
+        g_sum = _row_sum((-g_p * pairs) / (pair_sum * pair_sum))
         g_probs = (g_p / pair_sum + g_sum).reshape(n, width) * inside
         return (g_probs,) if log_var is None else (g_probs, g_s)
 
