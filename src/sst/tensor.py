@@ -217,7 +217,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # costs far more than the arithmetic.  Below this length its sum adds each
 # row's elements in order onto +0.0, so adding whole columns in that order
 # gives the same bits; the test suite checks that against ``ndarray.sum``
-# at every length.
+# at every length.  A short middle axis is the same: numpy adds its slices
+# in order, and so does ``_axis1_sum``, which is faster below this length
+# and slower above it.
 _SHORT_AXIS = 8
 
 
@@ -229,6 +231,17 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     total = a[..., :1] + 0.0
     for i in range(1, n):
         total += a[..., i:i + 1]
+    return total
+
+
+def _axis1_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)``, bit for bit."""
+    n = a.shape[1]
+    if not 0 < n < _SHORT_AXIS:
+        return a.sum(axis=1)
+    total = a[:, 0] + 0.0
+    for i in range(1, n):
+        total += a[:, i]
     return total
 
 
@@ -398,6 +411,14 @@ def sum_of_squares(tensors: Sequence[Tensor]):
     return np.asarray(total), tensors, bwd
 
 
+# Byte budget of one block of ``attention``'s backward: a block holds as
+# many samples as keep one [samples, h, T, T] float64 array within it, and
+# at least one.  At long_seq's shape (T=48, 4 heads, 64 samples) that is 14
+# samples, and the backward took the same time at 256 KiB and about 10%
+# less than in one whole-batch block (1 BLAS thread).
+ATTENTION_BWD_BLOCK_BYTES = 1024 * 1024
+
+
 @_op("attention")
 def attention(x, w_q, w_k, w_v, w_o, penalty, n_heads: int, return_weights: bool = False):
     """Multi-head scaled dot-product self-attention, with its four
@@ -422,6 +443,16 @@ def attention(x, w_q, w_k, w_v, w_o, penalty, n_heads: int, return_weights: bool
     adds its three gradient terms one at a time, in the order q, k, v, as
     it would for three separate projection nodes.  Backward keeps ``x``,
     the head-split projections, the softmax weights and the merged context.
+
+    Backward works on one block of samples at a time, as many as keep one
+    ``[samples, h, T, T]`` array within ``ATTENTION_BWD_BLOCK_BYTES``, and
+    at least one.  Per block it computes the softmax weights' gradient, the
+    softmax gradient and the query, key and value gradients, writing the
+    last three into whole-batch ``[B, h, T, d_k]`` arrays; the context
+    GEMM, the head merges and the projection GEMMs then run once over the
+    whole batch, as do the forward and no-tape inference.  Each sample's
+    matrix products and elementwise steps are the same in any block, so
+    the gradients equal those of one whole-batch block bit for bit.
     """
     x, w_q, w_k, w_v, w_o = (_ensure_tensor(t) for t in (x, w_q, w_k, w_v, w_o))
     if x.ndim != 3 or x.shape[-1] % n_heads or any(
@@ -462,14 +493,21 @@ def attention(x, w_q, w_k, w_v, w_o, penalty, n_heads: int, return_weights: bool
     def bwd(g: np.ndarray):
         g2 = g.reshape(-1, width)
         gc = (g2 @ w_o.data.T).reshape(batch, length, n_heads, d_k).transpose(0, 2, 1, 3)
-        gw = np.matmul(gc, v4.transpose(0, 1, 3, 2))
-        gv = np.matmul(w.transpose(0, 1, 3, 2), gc)
-        gs = w * (gw - _row_sum(gw * w))
-        gs *= c
-        gq = np.matmul(gs, k4t.transpose(0, 1, 3, 2))
-        gk = np.matmul(q4.transpose(0, 1, 3, 2), gs).transpose(0, 1, 3, 2)
+        gq, gkt, gv = np.empty_like(q4), np.empty_like(k4t), np.empty_like(v4)
+        rows = max(1, ATTENTION_BWD_BLOCK_BYTES // (8 * n_heads * length * length))
+        for a in range(0, batch, rows):
+            blk = slice(a, a + rows)
+            gcb, wb = gc[blk], w[blk]
+            np.matmul(wb.transpose(0, 1, 3, 2), gcb, out=gv[blk])
+            # the softmax gradient w * (gw - rowsum(gw * w)) * c, in place
+            gs = np.matmul(gcb, v4[blk].transpose(0, 1, 3, 2))
+            gs -= _row_sum(gs * wb)
+            gs *= wb
+            gs *= c
+            np.matmul(gs, k4t[blk].transpose(0, 1, 3, 2), out=gq[blk])
+            np.matmul(q4[blk].transpose(0, 1, 3, 2), gs, out=gkt[blk])
         grads = []
-        for gp, wp in ((gq, w_q), (gk, w_k), (gv, w_v)):
+        for gp, wp in ((gq, w_q), (gkt.transpose(0, 1, 3, 2), w_k), (gv, w_v)):
             gp2 = merge(gp)
             grads += [(gp2 @ wp.data.T).reshape(x.shape) if x.requires_grad else None,
                       _weight_grad(x2, gp2)]
@@ -546,18 +584,22 @@ def multitask_nll(probs, labels, label_mask, w, log_var=None):
 # -- elementwise -------------------------------------------------------
 
 
+# An operand of ``add`` or ``mul`` that needs no gradient, such as the
+# positional-encoding table, a dropout mask or the L2 factor, gets none
+# computed.
+
+
 @_op("add")
 def add(a, b):
     a, b = _ensure_tensor(a), _ensure_tensor(b)
     return (a.data + b.data, (a, b),
-            lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+            lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                       _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
 @_op("mul")
 def mul(a, b):
     a, b = _ensure_tensor(a), _ensure_tensor(b)
-    # an operand that needs no gradient, such as a dropout mask or the L2
-    # factor, gets none computed
     return (a.data * b.data, (a, b),
             lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
                        _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
@@ -625,7 +667,7 @@ def masked_mean(x, pad_mask):
         )
     counts = unpadded_counts(pad_mask)[:, None]
     keep = (1.0 - pad_mask)[:, :, None]
-    out = (x.data * keep).sum(axis=1) / counts
+    out = _axis1_sum(x.data * keep) / counts
     return out, (x,), lambda g: ((g / counts)[:, None, :] * keep,)
 
 

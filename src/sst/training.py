@@ -267,6 +267,10 @@ def fit(model: SstModel, train: Batch, val: Batch, *,
 
     Deterministic for a fixed config/seed/data: shuffling, dropout, and
     initialization all derive from config.seed.
+
+    One step's graph is alive at a time: each step runs in a helper that
+    returns the batch loss as a float, so nothing refers to the previous
+    step's tape when the next forward starts.
     """
     cfg = model.config
     if train.n_samples == 0 or val.n_samples == 0:
@@ -287,6 +291,20 @@ def fit(model: SstModel, train: Batch, val: Batch, *,
     adam = Adam(params)
     l2_params = model.l2_parameters()
 
+    def train_step(idx) -> float:
+        # the step's graph lives in this frame alone, so it is freed on
+        # return, before the next step's forward
+        probs = model.forward(Tensor(train.x.data[idx]), train.pad_mask.data[idx],
+                              training=True, rng=rng)
+        loss = weighted_multitask_loss(
+            probs, train.labels.data[idx], train.label_mask.data[idx],
+            tw, cfg.uncertainty_weighting, l2_params, cfg.l2_factor,
+        )
+        adam.zero_grad()
+        loss.backward()
+        adam.step(learning_rate(sched, step))
+        return loss.item()
+
     report = TrainReport()
     best_snap = None
     since_improved = 0
@@ -301,18 +319,8 @@ def fit(model: SstModel, train: Batch, val: Batch, *,
         try:
             for start in range(0, n, cfg.batch_size):
                 idx = perm[start:start + cfg.batch_size]
-                xb = Tensor(train.x.data[idx])
                 step += 1
-                probs = model.forward(xb, train.pad_mask.data[idx],
-                                      training=True, rng=rng)
-                loss = weighted_multitask_loss(
-                    probs, train.labels.data[idx], train.label_mask.data[idx],
-                    tw, cfg.uncertainty_weighting, l2_params, cfg.l2_factor,
-                )
-                adam.zero_grad()
-                loss.backward()
-                adam.step(learning_rate(sched, step))
-                epoch_loss += loss.item() * len(idx)
+                epoch_loss += train_step(idx) * len(idx)
             val_loss, val_aucs = _validate(model, val, tw)
         except NumericsError as err:
             raise DivergenceError(

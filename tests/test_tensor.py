@@ -423,6 +423,27 @@ class TestGradCheck:
         assert T._row_sum(a).tobytes() == a.sum(axis=-1, keepdims=True).tobytes()
         assert T._row_max(a).tobytes() == a.max(axis=-1, keepdims=True).tobytes()
 
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_axis1_sum_bits_equal_numpy(self, length):
+        """The slice-wise sum over a short middle axis equals
+        ``ndarray.sum(axis=1)`` bit for bit at every length, on masked
+        values spanning 30 orders of magnitude with signed zeros, as
+        ``masked_mean`` pools them."""
+        rng = np.random.default_rng(RNG_SEED + length)
+        a = rng.normal(size=(9, length, 7)) * 10.0 ** rng.integers(-15, 15, (9, length, 7))
+        a *= rng.random((9, length, 1)) < 0.6
+        a[0] = -0.0
+        a[1, :, 0] = 0.0
+        assert T._axis1_sum(a).tobytes() == a.sum(axis=1).tobytes()
+
+    def test_add_and_mul_compute_no_gradient_for_a_constant(self):
+        """Neither op computes a gradient for an operand that needs none,
+        such as the positional-encoding table or a dropout mask."""
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        for op in (T.add, T.mul):
+            assert op(x, np.ones(3))._bwd(np.ones((2, 3)))[1] is None
+            assert op(np.ones(3), x)._bwd(np.ones((2, 3)))[0] is None
+
     def test_relu_bits_equal_where(self):
         """Bitwise equal to ``np.where(x > 0, x, 0.0)``: ``-0.0`` and every
         negative give ``+0.0``."""
@@ -549,6 +570,36 @@ class TestGradCheck:
         want = self._attention_chain(*args, penalty, heads, upstream)
         for g, v in zip(got, want):
             assert g.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention_backward_blocks_keep_the_bits(self, heads, monkeypatch):
+        """A backward run in blocks of 3, 3 and 1 samples gives the output,
+        weights and all five gradients of a one-block run bit for bit, with
+        ``x`` also feeding a residual add.  The softmax row sums, one in the
+        forward and one per backward block, show the block sizes."""
+        rng = np.random.default_rng(RNG_SEED)
+        batch, length, width = 7, 5, 8
+        args = [t.data for t in _random_attention_args(rng, batch, length, width)]
+        pad = np.zeros((batch, length))
+        pad[1, -1] = pad[5, -2:] = 1.0
+        upstream = rng.normal(size=(batch, length, width))
+        row_sum, sizes = T._row_sum, []
+        monkeypatch.setattr(T, "_row_sum", lambda a: sizes.append(len(a)) or row_sum(a))
+
+        def run(budget):
+            sizes.clear()
+            monkeypatch.setattr(T, "ATTENTION_BWD_BLOCK_BYTES", budget)
+            ops = [Tensor(a, requires_grad=True) for a in args]
+            out, w = T.attention(*ops, pad * -1e9, heads, return_weights=True)
+            ((ops[0] + out) * Tensor(upstream)).sum().backward()
+            return (out.data, w, *(t.grad for t in ops))
+
+        whole = run(batch * 8 * heads * length * length)
+        assert sizes == [7, 7]
+        blocked = run(3 * 8 * heads * length * length + 7)
+        assert sizes == [7, 3, 3, 1]
+        for got, want in zip(blocked, whole):
+            assert got.tobytes() == want.tobytes()
 
     def test_masked_mean_bits_equal_the_pooling_chain(self):
         """Forward and gradient equal the mul, sum and div chain the op

@@ -4,6 +4,8 @@ grid search."""
 import hashlib
 import logging
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -470,6 +472,46 @@ class TestFit:
             fit(model, poisoned, data.val, epochs_max=2)
         assert exc.value.epoch == 1 and exc.value.step == 1
         assert exc.value.report is not None
+
+    def test_previous_step_graph_is_freed_before_the_next_forward(self, monkeypatch):
+        """When a training forward starts, nothing refers to the previous
+        step's output any more, so one step's graph is alive at a time.
+        ``Tensor`` takes no weak reference, so the test watches its array."""
+        data = small_data()
+        model = SstModel(small_config())
+        forward, refs, alive = model.forward, [], []
+
+        def watched(x, pad_mask, training=False, rng=None):
+            if training:
+                alive.extend(ref() is not None for ref in refs[-1:])
+            out = forward(x, pad_mask, training=training, rng=rng)
+            if training:
+                refs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(model, "forward", watched)
+        fit(model, data.train, data.val, epochs_max=2)
+        assert len(alive) >= 4 and not any(alive)
+
+    def test_long_sequence_fit_peak_memory(self):
+        """A 1-epoch fit at T=48 with 4 heads and batches of 64 holds one
+        step's tape and one block of attention-backward temporaries at a
+        time.  numpy 2.4 traced a 44.6 MB peak; the bound leaves 3.4 MB
+        (7.6%) of margin.  Keeping the previous step's graph through the
+        next forward traced 72.2 MB, and an unblocked attention backward
+        50.4 MB."""
+        data = synth_dataset(m=2, n_samples=200, timesteps=48, n_features=6,
+                             separability=6.0, imbalance=0.3, seed=3, ratios=(128, 64, 8))
+        cfg = SstConfig(n_features=7, max_timesteps=48, n_tasks=2, n_layers=2, dmodel=32,
+                        dff=32, n_heads=4, batch_size=64, warmup=50, seed=0)
+        model = SstModel(cfg)
+        tracemalloc.start()
+        try:
+            fit(model, data.train, data.val, epochs_max=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
 
     def test_report_csv_layout(self, tmp_path):
         import csv
