@@ -413,28 +413,18 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("length", range(1, 13))
     def test_row_sum_and_max_bits_equal_numpy(self, length):
-        """The column-wise sum and maximum over a short trailing axis equal
-        ``ndarray.sum`` and ``ndarray.max`` bit for bit at every length, on
-        values spanning 30 orders of magnitude with signed zeros."""
+        """The column-wise sum and maximum over a short trailing axis, and
+        the slice-wise sum over a short middle axis, equal ``ndarray.sum``
+        and ``ndarray.max`` bit for bit at every length, on values spanning
+        30 orders of magnitude with signed zeros."""
         rng = np.random.default_rng(RNG_SEED + length)
         a = rng.normal(size=(5, 3, 7, length)) * 10.0 ** rng.integers(-15, 15, (5, 3, 7, length))
         a[0, 0, :, :] = -0.0
         a[1, 0, 0, 0] = 0.0
         assert T._row_sum(a).tobytes() == a.sum(axis=-1, keepdims=True).tobytes()
         assert T._row_max(a).tobytes() == a.max(axis=-1, keepdims=True).tobytes()
-
-    @pytest.mark.parametrize("length", range(1, 13))
-    def test_axis1_sum_bits_equal_numpy(self, length):
-        """The slice-wise sum over a short middle axis equals
-        ``ndarray.sum(axis=1)`` bit for bit at every length, on masked
-        values spanning 30 orders of magnitude with signed zeros, as
-        ``masked_mean`` pools them."""
-        rng = np.random.default_rng(RNG_SEED + length)
-        a = rng.normal(size=(9, length, 7)) * 10.0 ** rng.integers(-15, 15, (9, length, 7))
-        a *= rng.random((9, length, 1)) < 0.6
-        a[0] = -0.0
-        a[1, :, 0] = 0.0
-        assert T._axis1_sum(a).tobytes() == a.sum(axis=1).tobytes()
+        b = np.ascontiguousarray(a.reshape(15, 7, length).transpose(0, 2, 1))
+        assert T._axis1_sum(b).tobytes() == b.sum(axis=1).tobytes()
 
     def test_add_and_mul_compute_no_gradient_for_a_constant(self):
         """Neither op computes a gradient for an operand that needs none,
