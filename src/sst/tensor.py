@@ -587,8 +587,6 @@ def multitask_nll(probs, labels, label_mask, w, log_var=None):
 # An operand of ``add`` or ``mul`` that needs no gradient, such as the
 # positional-encoding table, a dropout mask or the L2 factor, gets none
 # computed.
-
-
 @_op("add")
 def add(a, b):
     a, b = _ensure_tensor(a), _ensure_tensor(b)

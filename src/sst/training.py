@@ -292,8 +292,7 @@ def fit(model: SstModel, train: Batch, val: Batch, *,
     l2_params = model.l2_parameters()
 
     def train_step(idx) -> float:
-        # the step's graph lives in this frame alone, so it is freed on
-        # return, before the next step's forward
+        # the step's graph dies on return, before the next step's forward
         probs = model.forward(Tensor(train.x.data[idx]), train.pad_mask.data[idx],
                               training=True, rng=rng)
         loss = weighted_multitask_loss(
