@@ -1,6 +1,6 @@
 """Neural building blocks: dense layers, sinusoidal positional encoding,
-multi-head self-attention with padding masks, layer normalization, dropout,
-encoder blocks, and mask-aware average pooling.
+multi-head self-attention with padding masks, layer normalization, dropout
+masks, encoder blocks, and mask-aware average pooling.
 
 Every layer with parameters is a :class:`Module`.  Parameter tensors are
 created with requires_grad=True and found by one walk over the module's
@@ -12,20 +12,20 @@ order being stable.  ``l2_parameters()`` is the subset subject to weight
 decay: the matrices (dense and projection weights), never the 1-D biases or
 normalization gains.
 
-Dense layers run as the fused ``tensor.linear`` op, one tape node (plus
-one for the activation) with a hand-written backward pass.  Multi-head
-attention is one ``tensor.attention`` node: the three input projections,
-head split, scaled scores, key padding penalty, softmax, weighted values,
-head merge and output projection.  Each post-norm residual connection,
-``LayerNorm(x + dropout(sublayer(x)))``, is one ``tensor.residual_norm``
-node that takes the dropout mask as a plain array, so an encoder block
-records six nodes in training: attention, two dense layers, the feed-
-forward activation and two residual norms.  Pooling is one
-``tensor.masked_mean`` node and the other dropouts are one ``mul`` node
-each; apart from the loss, these and the activations are the only ops on
-a training tape.  These layers check no
-operand shapes themselves: the op each one calls is the one place that
-raises ``ShapeMismatchError``.
+A dense layer is one fused ``tensor.linear`` node with a hand-written
+backward pass: the affine map, its activation and, where the model asks
+for them, a constant shift (the positional encoding) and the dropout of
+its output.  Multi-head attention is one ``tensor.attention`` node: the
+three input projections, head split, scaled scores, key padding penalty,
+softmax, weighted values, head merge and output projection.  Each
+post-norm residual connection, ``LayerNorm(x + dropout(sublayer(x)))``, is
+one ``tensor.residual_norm`` node, so an encoder block records five nodes
+in training: attention, two dense layers and two residual norms.  Pooling
+is one ``tensor.masked_mean`` node.  Dropout is no node of its own:
+``dropout_mask`` draws a one-byte ``bool`` mask, and the op it is handed
+to, with the rate, scales the survivors.  These layers check no operand
+shapes themselves: the op each one calls is the one place that raises
+``ShapeMismatchError``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ import numpy as np
 
 from sst import tensor as T
 from sst.tensor import DomainError, ShapeMismatchError, Tensor
-
-ACTIVATIONS = ("none", "relu", "sigmoid")
 
 # Additive logit penalty for padded keys.  Large enough that exp underflows
 # to exactly 0.0 after softmax max-subtraction, small enough to stay finite.
@@ -84,22 +82,22 @@ class Module:
 
 
 class DenseLayer(Module):
-    """Affine map with an optional fixed activation."""
+    """Affine map with an optional fixed activation.  Called with a
+    ``shift`` and a dropout mask ``keep`` with its ``rate``, it adds the
+    shift before the activation and masks the output, all in the one
+    ``tensor.linear`` node."""
 
     def __init__(self, n_in: int, n_out: int, activation: str, rng: np.random.Generator):
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation '{activation}', expected one of {ACTIVATIONS}")
+        if activation not in T.ACTIVATIONS:
+            raise ValueError(
+                f"unknown activation '{activation}', expected one of {T.ACTIVATIONS}")
         self.activation = activation
         self.weight = Tensor(glorot_uniform(n_in, n_out, rng), requires_grad=True)
         self.bias = Tensor(np.zeros(n_out), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        out = T.linear(x, self.weight, self.bias)
-        if self.activation == "relu":
-            return T.relu(out)
-        if self.activation == "sigmoid":
-            return T.sigmoid(out)
-        return out
+    def __call__(self, x: Tensor, shift: np.ndarray | None = None,
+                 keep: np.ndarray | None = None, rate: float = 0.0) -> Tensor:
+        return T.linear(x, self.weight, self.bias, self.activation, shift, keep, rate)
 
 
 def positional_encoding_table(max_len: int, dmodel: int) -> np.ndarray:
@@ -143,9 +141,9 @@ class MultiHeadAttention(Module):
 class LayerNorm(Module):
     """Normalize the trailing axis to zero mean and unit variance, then apply
     a learned affine transform.  Called with a sublayer output ``s`` and its
-    dropout mask ``keep`` (or ``None``), it normalizes ``x + s * keep``:
-    the post-norm residual connection, as one ``tensor.residual_norm``
-    node."""
+    dropout mask ``keep`` (or ``None``) of rate ``rate``, it normalizes
+    ``x + s * keep / (1 - rate)``: the post-norm residual connection, as
+    one ``tensor.residual_norm`` node."""
 
     EPS = 1e-9
 
@@ -154,26 +152,22 @@ class LayerNorm(Module):
         self.bias = Tensor(np.zeros(width), requires_grad=True)
 
     def __call__(self, x: Tensor, s: Tensor | None = None,
-                 keep: np.ndarray | None = None) -> Tensor:
-        return T.residual_norm(x, s, keep, self.gain, self.bias, self.EPS)
+                 keep: np.ndarray | None = None, rate: float = 0.0) -> Tensor:
+        return T.residual_norm(x, s, keep, self.gain, self.bias, self.EPS, rate)
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, training: bool,
                  rng: np.random.Generator) -> np.ndarray | None:
-    """Inverted dropout's mask: 0 with probability rate, else 1/(1-rate), so
-    the expected value of a masked element is unchanged.  ``None`` when not
-    training or at rate 0, where dropout is the identity."""
+    """Inverted dropout's mask as a one-byte ``bool`` array: False with
+    probability rate.  The op it is handed to multiplies by
+    ``keep / (1 - rate)``, so the expected value of a masked element is
+    unchanged.  ``None`` when not training or at rate 0, where dropout is
+    the identity."""
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must lie in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return None
-    return (rng.random(shape) >= rate) / (1.0 - rate)
-
-
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout of ``x`` by ``dropout_mask``, as one ``mul`` node."""
-    keep = dropout_mask(x.shape, rate, training, rng)
-    return x if keep is None else x * Tensor(keep)
+    return rng.random(shape) >= rate
 
 
 class EncoderBlock(Module):
@@ -193,9 +187,9 @@ class EncoderBlock(Module):
                  rng: np.random.Generator) -> Tensor:
         rate = self.dropout_rate
         attended = self.attention(x, pad_mask)
-        x = self.norm_attn(x, attended, dropout_mask(attended.shape, rate, training, rng))
+        x = self.norm_attn(x, attended, dropout_mask(attended.shape, rate, training, rng), rate)
         ff = self.ff_contract(self.ff_expand(x))
-        return self.norm_ff(x, ff, dropout_mask(ff.shape, rate, training, rng))
+        return self.norm_ff(x, ff, dropout_mask(ff.shape, rate, training, rng), rate)
 
 
 def global_average_pool(x: Tensor, pad_mask: np.ndarray) -> Tensor:

@@ -155,15 +155,17 @@ class SstModel(L.Module):
         self._check_input(x.shape, pad_mask.shape)
         if training and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
-        rate = self.config.dropout_rate
+        rate, batch, length = self.config.dropout_rate, x.shape[0], x.shape[1]
 
-        h = self.embedding(x) + self.pe_table[:x.shape[1]]
-        h = L.dropout(h, rate, training, rng)
+        # the positional encoding and each dropout run inside their layer's node
+        keep = L.dropout_mask((batch, length, self.config.dmodel), rate, training, rng)
+        h = self.embedding(x, self.pe_table[:length], keep, rate)
         for block in self.blocks:
             h = block(h, pad_mask, training, rng)
         pooled = L.global_average_pool(h, pad_mask)
         for layer in self.mlp[:-1]:
-            pooled = L.dropout(layer(pooled), rate, training, rng)
+            keep = L.dropout_mask((batch, self.config.dff), rate, training, rng)
+            pooled = layer(pooled, None, keep, rate)
         return self.mlp[-1](pooled)
 
     def _check_input(self, x_shape, mask_shape) -> None:

@@ -28,20 +28,24 @@ overflows) pays for the elementwise test.  It reads values, not IEEE
 status flags, which OpenBLAS loses for the rows a worker thread computes.
 
 The registered ops are the ones the model and its training loop call, six
-fused ops, ``add``, ``mul``, ``sigmoid`` and ``relu``, plus ``sum``, the
-full reduction to a scalar that gradient checks and the benchmark's layer
-probes differentiate.  The fused ops each record one tape node with a
-hand-written backward in place of a chain of nodes: ``linear``
-(``x @ w + b`` as one 2-D GEMM over ``x``'s flattened leading axes, forward
-and backward), ``residual_norm`` (the post-norm residual connection: add a
-dropout-masked sublayer output, normalize the trailing axis, then scale and
-shift), ``sum_of_squares`` (the L2 penalty over a list of weight tensors),
+fused ops, ``add`` and ``mul``, plus ``sum``, the full reduction to a
+scalar that gradient checks and the benchmark's layer probes
+differentiate.  The fused ops each record one tape node with a
+hand-written backward in place of a chain of nodes: ``linear`` (a dense
+layer's whole epilogue ``act(x @ w + b + shift) * keep / (1 - rate)``, with
+a ``relu`` or ``sigmoid`` activation, a constant shift such as the
+positional encoding and a dropout mask, each optional, as one 2-D GEMM over
+``x``'s flattened leading axes, forward and backward), ``residual_norm``
+(the post-norm residual connection: add a dropout-masked sublayer output,
+normalize the trailing axis, then scale and shift), ``sum_of_squares`` (the
+L2 penalty over a list of weight tensors),
 ``attention`` (multi-head self-attention from the input through the
 query, key and value projections to the output projection),
 ``masked_mean`` (the mean over each sample's unpadded timesteps) and
 ``multitask_nll`` (the class-weighted multi-task loss with optional
-uncertainty weighting).  A training step of a two-layer model with
-dropout and L2 records 28 nodes.
+uncertainty weighting).  Dropout masks reach ``linear`` and
+``residual_norm`` as one-byte ``bool`` arrays with their rate.  A training
+step of a two-layer model with dropout and L2 records 19 nodes.
 """
 
 from __future__ import annotations
@@ -66,8 +70,6 @@ __all__ = [
     "multitask_nll",
     "add",
     "mul",
-    "sigmoid",
-    "relu",
     "reduce_sum",
     "masked_mean",
     "unpadded_counts",
@@ -309,44 +311,100 @@ def _weight_grad(a2: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return a2.T @ g2
 
 
+# The activations ``linear`` can apply to its affine map.
+ACTIVATIONS = ("none", "relu", "sigmoid")
+
+
 @_op("linear")
-def linear(x, w, b):
-    """Affine map ``x [.., K] @ w [K, N] + b [N]`` as one tape node, with
-    ``x``'s leading axes flattened so that forward and backward are each one
-    2-D GEMM and the weight gradient is the single product ``x2d.T @ g2d``."""
+def linear(x, w, b, act: str = "none", shift=None, keep=None, rate: float = 0.0):
+    """A dense layer's whole epilogue ``act(x @ w + b + shift) * keep /
+    (1 - rate)`` as one tape node, with ``x [.., K]``'s leading axes
+    flattened so that forward and backward are each one 2-D GEMM and the
+    weight gradient is the single product ``x2d.T @ g2d``.
+
+    ``w`` is ``[K, N]`` and ``b`` is ``[N]``.  ``act`` is one of
+    ``ACTIVATIONS``: ``relu`` or a numerically stable ``sigmoid``.
+    ``shift`` is a constant array of the output's trailing shape, such as
+    a slice of the positional-encoding table, or ``None``.  ``keep`` is the
+    output's dropout mask as a one-byte ``bool`` array, or ``None``; the
+    op rebuilds the float mask ``keep / (1 - rate)`` where forward or
+    backward needs it.
+
+    The arithmetic is that of the chain of affine, ``add``, activation and
+    ``mul`` nodes in that order, so values and gradients match that chain
+    bit for bit.  ``x @ w + b + shift`` is checked like an op output before
+    the activation, which would turn an Inf into a finite value.  Backward
+    keeps ``x``, the mask and the activation's output, which is the op's
+    output unless a mask follows it.
+    """
     x, w, b = _ensure_tensor(x), _ensure_tensor(w), _ensure_tensor(b)
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeMismatchError(
             f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}"
         )
+    shape = x.shape[:-1] + (w.shape[1],)
+    if ((shift is not None and np.shape(shift) != shape[len(shape) - np.ndim(shift):])
+            or (keep is not None and np.shape(keep) != shape)):
+        raise ShapeMismatchError(
+            f"linear: output {shape} does not match shift {np.shape(shift)} "
+            f"or keep {np.shape(keep)}"
+        )
+    if act not in ACTIVATIONS:
+        raise DomainError(f"linear: unknown activation '{act}', expected one of {ACTIVATIONS}")
     x2 = x.data.reshape(-1, x.shape[-1])
     out = x2 @ w.data
     out += b.data
+    out = out.reshape(shape)
+    if shift is not None:
+        out += shift
+    if act != "none":
+        _check_finite(out, "linear")
+    if act == "relu":
+        np.maximum(out, 0.0, out=out)
+        out += 0.0  # np.maximum may return -0.0 for -0.0; adding +0.0 makes every zero +0.0
+    elif act == "sigmoid":
+        # exp(-|x|) never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x)
+        # below; both are computed whole and selected elementwise, which is
+        # cheaper than gathering and scattering through boolean masks.
+        ex = np.exp(-np.abs(out))
+        denom = 1.0 + ex
+        out = np.where(out >= 0, 1.0 / denom, ex / denom)
+    act_out = None if act == "none" else out
+    if keep is not None:
+        out = out * (keep / (1.0 - rate))
 
     def bwd(g: np.ndarray):
+        if keep is not None:
+            g = g * (keep / (1.0 - rate))
+        if act == "relu":
+            g = g * (act_out > 0)
+        elif act == "sigmoid":
+            g = g * act_out * (1.0 - act_out)
         g2 = g.reshape(-1, w.shape[1])
         gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
         return gx, _weight_grad(x2, g2), g2.sum(axis=0)
 
-    return out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, b), bwd
+    return out, (x, w, b), bwd
 
 
 @_op("residual_norm")
-def residual_norm(x, s, keep, gain, bias, eps: float):
-    """The post-norm sublayer connection ``LayerNorm(x + s * keep)`` of
+def residual_norm(x, s, keep, gain, bias, eps: float, rate: float = 0.0):
+    """The post-norm sublayer connection ``LayerNorm(x + s * k)`` of
     Vaswani et al. (2017, §5.4) as one tape node: add the sublayer output
-    ``s``, masked by the dropout ``keep`` mask, to the residual ``x``,
-    normalize the trailing axis to zero mean and unit variance, then scale
-    by ``gain`` and shift by ``bias`` (both of the trailing width).
+    ``s``, masked by the dropout mask ``k = keep / (1 - rate)``, to the
+    residual ``x``, normalize the trailing axis to zero mean and unit
+    variance, then scale by ``gain`` and shift by ``bias`` (both of the
+    trailing width).
 
-    ``keep`` is a plain ndarray of ``x``'s shape, or ``None`` for no
-    dropout; with ``s`` also ``None`` the op is a plain layer norm of
-    ``x``.  The arithmetic is that of the chain of ``mul``, ``add`` and the
-    composite ``(z - mean) / sqrt(var + eps)`` with the biased variance,
-    in that order, so values and gradients match that chain bit for bit:
-    ``x`` gets the gradient ``gz`` of the sum ``z`` and ``s`` gets
-    ``gz * keep``.  The variance is checked like an op output; a NaN or Inf
-    in ``z`` makes it non-finite too.
+    ``keep`` is a one-byte ``bool`` array of ``x``'s shape, or ``None`` for
+    no dropout; the op keeps it at one byte and rebuilds ``k`` where
+    forward or backward needs it.  With ``s`` also ``None`` the op is a
+    plain layer norm of ``x``.  The arithmetic is that of the chain of
+    ``mul``, ``add`` and the composite ``(z - mean) / sqrt(var + eps)`` with
+    the biased variance, in that order, so values and gradients match that
+    chain bit for bit: ``x`` gets the gradient ``gz`` of the sum ``z`` and
+    ``s`` gets ``gz * k``.  The variance is checked like an op output; a
+    NaN or Inf in ``z`` makes it non-finite too.
     """
     x, gain, bias = _ensure_tensor(x), _ensure_tensor(gain), _ensure_tensor(bias)
     s = None if s is None else _ensure_tensor(s)
@@ -365,7 +423,7 @@ def residual_norm(x, s, keep, gain, bias, eps: float):
     elif keep is None:
         z = x.data + s.data
     else:
-        z = s.data * keep
+        z = s.data * (keep / (1.0 - rate))
         z += x.data  # IEEE addition commutes, so this is x + s * keep exactly
     # each mean is ndarray.mean's own arithmetic, a sum then a division by
     # the count, without its Python wrapper; the in-place steps compute the
@@ -390,7 +448,8 @@ def residual_norm(x, s, keep, gain, bias, eps: float):
         affine = (np.multiply(g, normed, out=scratch).sum(axis=lead), g.sum(axis=lead))
         if s is None:
             return (gz, *affine)
-        return (gz, gz if keep is None else gz * keep, *affine)
+        gs = gz if keep is None else gz * (keep / (1.0 - rate))
+        return (gz, gs, *affine)
 
     parents = (x, gain, bias) if s is None else (x, s, gain, bias)
     return out, parents, bwd
@@ -450,7 +509,9 @@ def attention(x, w_q, w_k, w_v, w_o, penalty, n_heads: int, return_weights: bool
     softmax gradient and the query, key and value gradients, writing the
     last three into whole-batch ``[B, h, T, d_k]`` arrays; the context
     GEMM, the head merges and the projection GEMMs then run once over the
-    whole batch, as do the forward and no-tape inference.  Each sample's
+    whole batch, as do the forward and no-tape inference, and the context
+    gradient and each head-split gradient are freed as soon as they have
+    been merged and multiplied.  Each sample's
     matrix products and elementwise steps are the same in any block, so
     the gradients equal those of one whole-batch block bit for bit.
     """
@@ -497,20 +558,24 @@ def attention(x, w_q, w_k, w_v, w_o, penalty, n_heads: int, return_weights: bool
         rows = max(1, ATTENTION_BWD_BLOCK_BYTES // (8 * n_heads * length * length))
         for a in range(0, batch, rows):
             blk = slice(a, a + rows)
-            gcb, wb = gc[blk], w[blk]
-            np.matmul(wb.transpose(0, 1, 3, 2), gcb, out=gv[blk])
+            wb = w[blk]
+            np.matmul(wb.transpose(0, 1, 3, 2), gc[blk], out=gv[blk])
             # the softmax gradient w * (gw - rowsum(gw * w)) * c, in place
-            gs = np.matmul(gcb, v4[blk].transpose(0, 1, 3, 2))
+            gs = np.matmul(gc[blk], v4[blk].transpose(0, 1, 3, 2))
             gs -= _row_sum(gs * wb)
             gs *= wb
             gs *= c
             np.matmul(gs, k4t[blk].transpose(0, 1, 3, 2), out=gq[blk])
             np.matmul(q4[blk].transpose(0, 1, 3, 2), gs, out=gkt[blk])
+        del gc
+        split_grads = [gq, gkt.transpose(0, 1, 3, 2), gv]
+        del gq, gkt, gv
         grads = []
-        for gp, wp in ((gq, w_q), (gkt.transpose(0, 1, 3, 2), w_k), (gv, w_v)):
-            gp2 = merge(gp)
+        for wp in (w_q, w_k, w_v):
+            gp2 = merge(split_grads.pop(0))
             grads += [(gp2 @ wp.data.T).reshape(x.shape) if x.requires_grad else None,
                       _weight_grad(x2, gp2)]
+            del gp2
         return (*grads, _weight_grad(context, g2))
 
     parents = (x, w_q, x, w_k, x, w_v, w_o)
@@ -584,9 +649,8 @@ def multitask_nll(probs, labels, label_mask, w, log_var=None):
 # -- elementwise -------------------------------------------------------
 
 
-# An operand of ``add`` or ``mul`` that needs no gradient, such as the
-# positional-encoding table, a dropout mask or the L2 factor, gets none
-# computed.
+# An operand of ``add`` or ``mul`` that needs no gradient, such as the L2
+# factor, gets none computed.
 @_op("add")
 def add(a, b):
     a, b = _ensure_tensor(a), _ensure_tensor(b)
@@ -601,28 +665,6 @@ def mul(a, b):
     return (a.data * b.data, (a, b),
             lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
                        _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
-
-
-@_op("sigmoid")
-def sigmoid(x):
-    """Numerically stable logistic function; output lies in [0, 1]."""
-    x = _ensure_tensor(x)
-    # exp(-|x|) never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x)
-    # below; both are computed whole and selected elementwise, which is
-    # cheaper than gathering and scattering through boolean masks.
-    ex = np.exp(-np.abs(x.data))
-    denom = 1.0 + ex
-    out = np.where(x.data >= 0, 1.0 / denom, ex / denom)
-    return out, (x,), lambda g: (g * out * (1.0 - out),)
-
-
-@_op("relu")
-def relu(x):
-    x = _ensure_tensor(x)
-    mask = x.data > 0
-    out = np.maximum(x.data, 0.0)
-    out += 0.0  # np.maximum may return -0.0 for -0.0; adding +0.0 makes every zero +0.0
-    return out, (x,), lambda g: (g * mask,)
 
 
 # -- reductions --------------------------------------------------------

@@ -34,7 +34,7 @@ class TestDenseLayer:
         b = layer.bias
 
         def f(w):
-            return T.relu(T.linear(x, w, b)).sum()
+            return T.linear(x, w, b, "relu").sum()
 
         assert grad_check(f, Tensor(layer.weight.data + 0.05)) < 1e-6
 
@@ -204,26 +204,31 @@ class TestModule:
 
 
 class TestDropout:
+    """``dropout_mask`` and the dropout that ``linear`` applies with it."""
+
     def test_rate_zero_is_identity(self):
-        x = Tensor(np.ones((3, 3)))
-        assert L.dropout(x, 0.0, True, rng()) is x
+        assert L.dropout_mask((3, 3), 0.0, True, rng()) is None
 
     def test_inference_is_identity(self):
-        x = Tensor(np.ones((3, 3)))
-        assert L.dropout(x, 0.9, False, rng()) is x
+        assert L.dropout_mask((3, 3), 0.9, False, rng()) is None
 
     def test_survivor_fraction_and_mean(self):
-        x = Tensor(np.full(100_000, 2.0))
-        out = L.dropout(x, 0.5, True, rng()).data
+        """A one-byte mask, and the dropout of a constant 2.0 through an
+        identity ``linear``: half the entries survive, and the mean
+        stays."""
+        keep = L.dropout_mask((100_000, 1), 0.5, True, rng())
+        assert keep.dtype == np.bool_ and keep.nbytes == 100_000
+        out = T.linear(Tensor(np.full((100_000, 1), 2.0)), Tensor([[1.0]]), Tensor([0.0]),
+                       "none", None, keep, 0.5).data
         survived = np.count_nonzero(out) / out.size
         assert abs(survived - 0.5) < 0.01
         assert abs(out.mean() - 2.0) / 2.0 < 0.02
 
     def test_rejects_bad_rate(self):
         with pytest.raises(DomainError):
-            L.dropout(Tensor([1.0]), 1.0, True, rng())
+            L.dropout_mask((1,), 1.0, True, rng())
         with pytest.raises(DomainError):
-            L.dropout(Tensor([1.0]), -0.1, True, rng())
+            L.dropout_mask((1,), -0.1, True, rng())
 
 
 class TestGlobalAveragePool:

@@ -52,10 +52,10 @@ def test_concat_of_two_splits():
 def test_traced_training_reproduces_fit(run):
     """The data probe and the traced replica of ``fit``'s loop, which calls
     the loss positionally, Adam, the task weights and both evaluations; a
-    full c07 batch records 28 tape nodes."""
+    full c07 batch records 19 tape nodes."""
     tracer = helpers.Tracer()
     train, val, _ = probes.probe_data(tracer, run)
     _, tape, _, _ = probes.probe_training(tracer, run, train, val)
     assert run.ledger.errors == []
     assert any("reproduces" in note for note in run.notes)
-    assert tape[0] == 28
+    assert tape[0] == 19

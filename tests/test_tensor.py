@@ -66,8 +66,9 @@ class TestForwardOracles:
         np.testing.assert_allclose(w.sum(axis=-1), np.ones((4, 3, 7)), atol=1e-12)
 
     def test_sigmoid_extremes_stay_finite(self):
-        out = T.sigmoid(Tensor([-800.0, 0.0, 800.0]))
-        np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-12)
+        out = T.linear(Tensor([[-800.0], [0.0], [800.0]]), Tensor([[1.0]]), Tensor([0.0]),
+                       "sigmoid")
+        np.testing.assert_allclose(out.data.ravel(), [0.0, 0.5, 1.0], atol=1e-12)
 
     def test_reductions_match_numpy(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -118,7 +119,7 @@ class TestGradients:
         b = Tensor(rng.normal(size=4))
 
         def run():
-            return T.sigmoid(T.linear(x, w, b)).sum().item()
+            return T.linear(x, w, b, "sigmoid").sum().item()
 
         assert run() == run()
 
@@ -185,7 +186,15 @@ def _square(rng):
 # residual ones
 _GAIN_BIAS = np.random.default_rng(RNG_SEED + 2).normal(size=(2, 4))
 _RESIDUAL = np.random.default_rng(RNG_SEED + 6).normal(size=(3, 4))
-_KEEP = (np.random.default_rng(RNG_SEED + 7).random((3, 4)) >= 0.5) / 0.5
+_KEEP = np.random.default_rng(RNG_SEED + 7).random((3, 4)) >= 0.5
+
+
+def _linear_case(act, shift=None, keep=None):
+    """``linear`` of a [3, 3] input by itself as the weight, so that one
+    check covers the input and weight gradients, through ``act`` with an
+    optional shift and a dropout mask of rate 0.5."""
+    return lambda x: _squared_sum(
+        T.linear(x, x, Tensor([0.5, -1.0, 2.0]), act, shift, keep, 0.5))
 
 
 def _layer_norm(x, gain, bias, eps):
@@ -199,7 +208,7 @@ def _residual_case(slot):
     def fn(t):
         args = [Tensor(_RESIDUAL), Tensor(_RESIDUAL[::-1].copy())]
         args[slot] = t
-        return _squared_sum(T.residual_norm(*args, _KEEP, *_GAIN_BIAS, 1e-9))
+        return _squared_sum(T.residual_norm(*args, _KEEP, *_GAIN_BIAS, 1e-9, 0.5))
     return fn
 
 # Fixed input and projection weights for the attention grad cases: B=1,
@@ -254,9 +263,15 @@ def _nll_case(wrt):
     return fn
 
 
-# (name, scalar-valued fn of one tensor, domain-safe input maker)
+# (name, scalar-valued fn of one tensor, domain-safe input maker), and for
+# a variant of an op's options the variant's name, which joins the op's in
+# the test id
 GRAD_CASES = [
     ("linear", lambda x: _squared_sum(T.linear(x, x, Tensor([0.5, -1.0, 2.0]))), _square),
+    ("linear", _linear_case("relu"), _square, "relu"),
+    ("linear", _linear_case("sigmoid"), _square, "sigmoid"),
+    ("linear", _linear_case("none", shift=_RESIDUAL[:, :3]), _square, "shift"),
+    ("linear", _linear_case("sigmoid", keep=_KEEP[:, :3]), _square, "keep"),
     ("residual_norm", lambda x: (_layer_norm(x, *_GAIN_BIAS, 1e-9) * x).sum(), _anywhere),
     ("residual_norm", _residual_case(0), _anywhere),
     ("residual_norm", _residual_case(1), _anywhere),
@@ -272,8 +287,6 @@ GRAD_CASES = [
     ("multitask_nll", _nll_case("log_var"), lambda rng: _anywhere(rng, (3, 2))),
     ("add", lambda x: (x + 2.0 * x).sum(), _anywhere),
     ("mul", lambda x: (x * x).sum(), _anywhere),
-    ("sigmoid", lambda x: T.sigmoid(x).sum(), _anywhere),
-    ("relu", lambda x: _squared_sum(T.relu(x)), _anywhere),
     ("sum", lambda x: _squared_sum(x.sum()), _anywhere),
     ("masked_mean", lambda x: _squared_sum(T.masked_mean(x, _POOL_MASK)),
      lambda rng: _anywhere(rng, (2, 3, 4))),
@@ -281,8 +294,10 @@ GRAD_CASES = [
 
 
 class TestGradCheck:
-    @pytest.mark.parametrize("name,fn,maker", GRAD_CASES, ids=[c[0] for c in GRAD_CASES])
-    def test_registered_op(self, name, fn, maker):
+    @pytest.mark.parametrize("case", GRAD_CASES,
+                             ids=["_".join(c[:1] + c[3:]) for c in GRAD_CASES])
+    def test_registered_op(self, case):
+        _, fn, maker = case[:3]
         rng = np.random.default_rng(RNG_SEED)
         x = Tensor(maker(rng))
         assert grad_check(fn, x) < 1e-6
@@ -372,19 +387,19 @@ class TestGradCheck:
         rng = np.random.default_rng(RNG_SEED)
         arrays = (rng.normal(size=(4, 3, 8)), rng.normal(size=(8, 8)), rng.normal(size=8),
                   rng.normal(size=8), rng.normal(size=8))
-        keep = (rng.random((4, 3, 8)) >= 0.25) / 0.75 if masked else None
+        keep = rng.random((4, 3, 8)) >= 0.25 if masked else None
         upstream = rng.normal(size=(4, 3, 8))
         eps = 1e-9
 
         x, w, b, gain, bias = (Tensor(a, requires_grad=True) for a in arrays)
-        out = T.residual_norm(x, T.linear(x, w, b), keep, gain, bias, eps)
+        out = T.residual_norm(x, T.linear(x, w, b), keep, gain, bias, eps, 0.25)
         (out * Tensor(upstream)).sum().backward()
         got = (out.data, x.grad, w.grad, b.grad, gain.grad, bias.grad)
 
         x, w, b = (Tensor(a, requires_grad=True) for a in arrays[:3])
         gain, bias = arrays[3:]
         s = T.linear(x, w, b)
-        z = x + (s if keep is None else s * Tensor(keep))
+        z = x + (s if keep is None else s * Tensor(keep / (1.0 - 0.25)))
         centered = z.data - z.data.mean(axis=-1, keepdims=True)
         var = (centered * centered).mean(axis=-1, keepdims=True)
         std = np.sqrt(var + eps)
@@ -428,20 +443,90 @@ class TestGradCheck:
 
     def test_add_and_mul_compute_no_gradient_for_a_constant(self):
         """Neither op computes a gradient for an operand that needs none,
-        such as the positional-encoding table or a dropout mask."""
+        such as the L2 factor."""
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         for op in (T.add, T.mul):
             assert op(x, np.ones(3))._bwd(np.ones((2, 3)))[1] is None
             assert op(np.ones(3), x)._bwd(np.ones((2, 3)))[0] is None
 
     def test_relu_bits_equal_where(self):
-        """Bitwise equal to ``np.where(x > 0, x, 0.0)``: ``-0.0`` and every
-        negative give ``+0.0``."""
+        """``linear``'s relu is bitwise equal to ``np.where(z > 0, z, 0.0)``
+        of its pre-activation ``z``: ``-0.0`` and every negative give
+        ``+0.0``.  A row of tiny negatives times tiny positive weights
+        underflows to ``-0.0`` in every product, and the GEMM keeps that
+        sign; the bias ``-0.0`` adds nothing to any value."""
         rng = np.random.default_rng(RNG_SEED)
-        x = np.concatenate([rng.normal(size=97), [-0.0, 0.0, -1e-300, 5e-324, -5e-324]])
-        got = T.relu(Tensor(x)).data
-        assert got.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+        x = rng.normal(size=(102, 4)) * 10.0 ** rng.integers(-310, 2, (102, 4))
+        x[97] = -1e-300
+        w, b = np.full((4, 3), 1e-300), np.full(3, -0.0)
+        w[:, 1] = rng.normal(size=4)
+        z = x @ w + b
+        assert np.signbit(z[97, 0]) and z[97, 0] == 0.0
+        got = T.linear(Tensor(x), Tensor(w), Tensor(b), "relu").data
+        assert got.tobytes() == np.where(z > 0, z, 0.0).tobytes()
         assert not np.signbit(got).any()
+
+    @staticmethod
+    def _replica(data, parent, bwd):
+        """A test-local tape node: ``data``, computed from ``parent``, with
+        the backward closure ``bwd``."""
+        out = Tensor(data)
+        out.requires_grad = True
+        out._op, out._parents, out._bwd = "replica", (parent,), bwd
+        return out
+
+    def _relu_node(self, x):
+        """The ``relu`` node that ``linear``'s epilogue replaced."""
+        mask = x.data > 0
+        out = np.maximum(x.data, 0.0)
+        out += 0.0
+        return self._replica(out, x, lambda g: (g * mask,))
+
+    def _sigmoid_node(self, x):
+        """The ``sigmoid`` node that ``linear``'s epilogue replaced."""
+        ex = np.exp(-np.abs(x.data))
+        denom = 1.0 + ex
+        out = np.where(x.data >= 0, 1.0 / denom, ex / denom)
+        return self._replica(out, x, lambda g: (g * out * (1.0 - out),))
+
+    @pytest.mark.parametrize("act,shifted,masked",
+                             [("relu", False, False), ("sigmoid", False, True),
+                              ("none", True, True)],
+                             ids=["relu", "sigmoid_keep", "shift_keep"])
+    def test_linear_epilogue_bits_equal_the_chain(self, act, shifted, masked):
+        """Output and the gradients of x, w and b equal those of the chain
+        ``linear``'s epilogue replaced bit for bit: linear then relu (the
+        feed-forward expansion), linear, sigmoid and the dropout ``mul`` (a
+        hidden head layer), and linear, the positional ``add`` and the
+        dropout ``mul`` (the embedding), with x also feeding a residual
+        add.  The replica's dropout ``mul`` takes the float mask that
+        ``linear`` rebuilds from the one-byte mask and the rate."""
+        rng = np.random.default_rng(RNG_SEED)
+        arrays = (rng.normal(size=(4, 3, 8)) * 3.0, rng.normal(size=(8, 8)), rng.normal(size=8))
+        table = rng.normal(size=(3, 8))
+        keep, rate = rng.random((4, 3, 8)) >= 0.25, 0.25
+        upstream = rng.normal(size=(4, 3, 8))
+        shift = table if shifted else None
+
+        x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+        out = T.linear(x, w, b, act, shift, keep if masked else None, rate)
+        ((x + out) * Tensor(upstream)).sum().backward()
+        got = (out.data, x.grad, w.grad, b.grad)
+
+        x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+        h = T.linear(x, w, b)
+        if shift is not None:
+            h = h + shift
+        if act == "relu":
+            h = self._relu_node(h)
+        elif act == "sigmoid":
+            h = self._sigmoid_node(h)
+        if masked:
+            h = h * Tensor(keep / (1.0 - rate))
+        ((x + h) * Tensor(upstream)).sum().backward()
+        want = (h.data, x.grad, w.grad, b.grad)
+        for g, wanted in zip(got, want):
+            assert g.tobytes() == wanted.tobytes()
 
     def test_sum_of_squares_matches_composite(self):
         """The fused penalty adds the per-tensor sums in order, so its value
@@ -617,8 +702,8 @@ class TestGradCheck:
         b1, b2 = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
 
         def f(x):
-            h = T.sigmoid(T.linear(x, w1, b1))
-            return (T.relu(T.linear(h, w2, b2)) * h).sum()
+            h = T.linear(x, w1, b1, "sigmoid")
+            return (T.linear(h, w2, b2, "relu") * h).sum()
 
         assert grad_check(f, Tensor(rng.normal(size=(5, 4)))) < 1e-6
 
@@ -636,6 +721,25 @@ class TestErrorContracts:
         would surface first if the op ran with numpy's warnings on."""
         with pytest.raises(NumericsError, match=f"'{name}'"):
             fn()
+
+    @pytest.mark.parametrize("act", ["relu", "sigmoid"])
+    def test_linear_checks_before_its_activation(self, act):
+        """1e200 * -1e200 overflows to -inf, which relu and sigmoid would
+        both turn into a finite 0; linear refuses it by name."""
+        with pytest.raises(NumericsError, match="'linear'"):
+            T.linear(Tensor([[1e200]]), Tensor([[-1e200]]), Tensor([0.0]), act)
+
+    def test_linear_rejects_bad_epilogue_arguments(self):
+        x, w, b = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 5))), Tensor(np.zeros(5))
+        T.linear(x, w, b, "none", np.ones((3, 5)), np.ones((2, 3, 5), dtype=bool), 0.5)
+        with pytest.raises(ShapeMismatchError):
+            T.linear(x, w, b, "none", np.ones((2, 5)))
+        with pytest.raises(ShapeMismatchError):
+            T.linear(x, w, b, "none", np.ones((1, 2, 3, 5)))
+        with pytest.raises(ShapeMismatchError):
+            T.linear(x, w, b, "none", None, np.ones((2, 3, 4), dtype=bool), 0.5)
+        with pytest.raises(DomainError, match="tanh"):
+            T.linear(x, w, b, "tanh")
 
     def test_backward_overflow_names_op(self):
         """Forward stays finite; x's gradient 1e300 * 1e100 overflows in
@@ -785,6 +889,6 @@ class TestHypothesisProperties:
         b = Tensor(rng.normal(size=(3,)))
 
         def f(x):
-            return T.sigmoid(T.linear(x, w, b)).sum()
+            return T.linear(x, w, b, "sigmoid").sum()
 
         assert grad_check(f, Tensor(rng.normal(size=(2, 3)))) < 1e-5
