@@ -56,11 +56,18 @@ class Batch:
 
 
 def derive_label_mask(labels: np.ndarray) -> np.ndarray:
-    """Presence mask from (neg, pos) pairs: sum 1 means measured, sum 0
-    means absent; anything else is a malformed label row."""
+    """Presence mask from (neg, pos) pairs of 0/1 entries: sum 1 means
+    measured, sum 0 means absent; any other entry or sum is a malformed
+    label row."""
     labels = np.asarray(labels, dtype=np.float64)
     if labels.ndim != 2 or labels.shape[1] % 2 != 0:
         raise ValueError(f"labels must be [B, 2m], got {labels.shape}")
+    off = (labels != 0.0) & (labels != 1.0)
+    if np.any(off):
+        i, col = np.argwhere(off)[0]
+        raise ValueError(
+            f"label for sample {i}, task {col // 2} is {labels[i, col]}, expected 0 or 1"
+        )
     pairs = labels.reshape(labels.shape[0], -1, 2)
     sums = pairs.sum(axis=2)
     bad = (sums != 0.0) & (sums != 1.0)
@@ -274,8 +281,9 @@ def load_split(x_path, y_path, *, n_tasks: int) -> Batch:
     """Load one split from NPY files, deriving both masks.
 
     The padding mask comes from the indicator column (last feature); the
-    label mask comes from (neg, pos) pair sums.  The indicator must be
-    strictly 0/1; published files are validated, not trusted.
+    label mask comes from (neg, pos) pair sums.  The indicator and every
+    label must be strictly 0/1; published files are validated, not
+    trusted, and an error names the file.
     """
     x_npy = read_npy(x_path)
     y_npy = read_npy(y_path)
@@ -302,11 +310,15 @@ def load_split(x_path, y_path, *, n_tasks: int) -> Batch:
     indicator = x[:, :, -1]
     if not np.all(np.isin(indicator, (0.0, 1.0))):
         raise ValueError(f"{x_path}: padding indicator column contains non-0/1 values")
+    try:
+        label_mask = derive_label_mask(y)
+    except ValueError as err:
+        raise ValueError(f"{y_path}: {err}") from err
     return Batch(
         x=tensors[0],
         pad_mask=Tensor(indicator),
         labels=tensors[1],
-        label_mask=Tensor(derive_label_mask(y)),
+        label_mask=Tensor(label_mask),
     )
 
 

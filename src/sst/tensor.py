@@ -27,25 +27,25 @@ finite; only a non-finite sum (a NaN or Inf, or a sum that merely
 overflows) pays for the elementwise test.  It reads values, not IEEE
 status flags, which OpenBLAS loses for the rows a worker thread computes.
 
-The registered ops are the ones the model and its training loop call, six
-fused ops, ``add`` and ``mul``, plus ``sum``, the full reduction to a
-scalar that gradient checks and the benchmark's layer probes
-differentiate.  The fused ops each record one tape node with a
+The registered ops are five fused ops, which the model and its training
+loop call, and three generic ones, ``add``, ``mul`` and ``sum`` (the full
+reduction to a scalar), which gradient checks, the benchmark's probes and
+the demos compose.  The fused ops each record one tape node with a
 hand-written backward in place of a chain of nodes: ``linear`` (a dense
 layer's whole epilogue ``act(x @ w + b + shift) * keep / (1 - rate)``, with
 a ``relu`` or ``sigmoid`` activation, a constant shift such as the
 positional encoding and a dropout mask, each optional, as one 2-D GEMM over
 ``x``'s flattened leading axes, forward and backward), ``residual_norm``
 (the post-norm residual connection: add a dropout-masked sublayer output,
-normalize the trailing axis, then scale and shift), ``sum_of_squares`` (the
-L2 penalty over a list of weight tensors),
+normalize the trailing axis, then scale and shift),
 ``attention`` (multi-head self-attention from the input through the
 query, key and value projections to the output projection),
 ``masked_mean`` (the mean over each sample's unpadded timesteps) and
-``multitask_nll`` (the class-weighted multi-task loss with optional
-uncertainty weighting).  Dropout masks reach ``linear`` and
-``residual_norm`` as one-byte ``bool`` arrays with their rate.  A training
-step of a two-layer model with dropout and L2 records 19 nodes.
+``multitask_nll`` (the whole training objective: the class-weighted
+multi-task loss with optional uncertainty weighting plus the L2 penalty).
+Dropout masks reach ``linear`` and ``residual_norm`` as one-byte ``bool``
+arrays with their rate.  A training step of a two-layer model with dropout
+and L2 records 16 nodes.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ __all__ = [
     "OPS",
     "linear",
     "residual_norm",
-    "sum_of_squares",
     "attention",
     "multitask_nll",
     "add",
@@ -455,21 +454,6 @@ def residual_norm(x, s, keep, gain, bias, eps: float, rate: float = 0.0):
     return out, parents, bwd
 
 
-@_op("sum_of_squares")
-def sum_of_squares(tensors: Sequence[Tensor]):
-    """Scalar ``sum_i sum(t_i * t_i)`` over several tensors as one tape node,
-    with the per-tensor sums added in the given order."""
-    tensors = tuple(_ensure_tensor(t) for t in tensors)
-    if not tensors:
-        raise DomainError("sum_of_squares: needs at least one tensor")
-    total = sum((t.data * t.data).sum() for t in tensors)
-
-    def bwd(g: np.ndarray):
-        return tuple((2.0 * g) * t.data for t in tensors)
-
-    return np.asarray(total), tensors, bwd
-
-
 # Byte budget of one block of ``attention``'s backward: a block holds as
 # many samples as keep one [samples, h, T, T] float64 array within it, and
 # at least one.  At long_seq's shape (T=48, 4 heads, 64 samples) that is 14
@@ -585,8 +569,9 @@ def attention(x, w_q, w_k, w_v, w_o, penalty, n_heads: int, return_weights: bool
 
 
 @_op("multitask_nll")
-def multitask_nll(probs, labels, label_mask, w, log_var=None):
-    """Class-weighted multi-task negative log-likelihood as one tape node.
+def multitask_nll(probs, labels, label_mask, w, log_var=None, l2=(), l2_factor: float = 0.0):
+    """The whole training objective, the class-weighted multi-task negative
+    log-likelihood plus an L2 penalty, as one tape node.
 
     ``probs`` and ``labels`` are ``[B, 2m]`` with (negative, positive)
     column pairs, ``label_mask [B, m]`` marks the measured tasks and
@@ -594,17 +579,24 @@ def multitask_nll(probs, labels, label_mask, w, log_var=None):
     to ``[PROB_FLOOR, 1 - PROB_FLOOR]`` and normalized to sum to 1.  For
     task j and label t, ``J_jt`` is the sum over the batch of
     ``-w_jt * label * mask * log p``, divided by the number of samples
-    that measured task j (at least 1).  The result is ``sum J``, or, with a
+    that measured task j (at least 1).  The loss is ``sum J``, or, with a
     ``log_var [m, 2]`` of s = log(sigma^2), the homoscedastic uncertainty
     weighting ``sum exp(-s) J + s/2`` of Kendall, Gal & Cipolla (2018).
-    Only ``probs`` and ``log_var`` receive gradients.
+    With ``l2_factor > 0`` it adds ``l2_factor * sum_i sum(t_i * t_i)`` over
+    the tensors of ``l2``, the per-tensor sums in the given order.  Only
+    ``probs``, ``log_var`` and the ``l2`` tensors receive gradients.
+
+    Returns the loss and ``n_clamped``, the number of ``probs`` entries
+    outside the clamp interval, whose gradient is zero.
 
     Forward and backward repeat, in order, the numpy expressions of the
     chain of clip, reshape, sum, div, log, mul, neg, exp and scale nodes
-    this op replaced, so values and gradients match that chain bit for bit.
+    and of the penalty's squares, factor and add that this op replaced, so
+    values and gradients match that chain bit for bit.
     """
     probs = _ensure_tensor(probs)
     log_var = None if log_var is None else _ensure_tensor(log_var)
+    l2 = tuple(_ensure_tensor(t) for t in l2) if l2_factor > 0.0 else ()
     labels, mask, w = (np.asarray(a, dtype=np.float64) for a in (labels, label_mask, w))
     if probs.ndim != 2 or probs.shape[1] % 2:
         raise ShapeMismatchError(f"multitask_nll: probs must be [B, 2m], got {probs.shape}")
@@ -630,6 +622,8 @@ def multitask_nll(probs, labels, label_mask, w, log_var=None):
         s = log_var.data.reshape(2 * m)
         e = np.exp(-s)
         total = (e * per_jt + s * 0.5).sum()
+    if l2:
+        total = total + sum((t.data * t.data).sum() for t in l2) * l2_factor
 
     def bwd(g: np.ndarray):
         if log_var is None:
@@ -640,17 +634,18 @@ def multitask_nll(probs, labels, label_mask, w, log_var=None):
         g_p = (-(g_jt / present) * coef).reshape(n, m, 2) / p
         g_sum = _row_sum((-g_p * pairs) / (pair_sum * pair_sum))
         g_probs = (g_p / pair_sum + g_sum).reshape(n, width) * inside
-        return (g_probs,) if log_var is None else (g_probs, g_s)
+        g_l2 = [(2.0 * (g * l2_factor)) * t.data for t in l2]
+        return (g_probs, *g_l2) if log_var is None else (g_probs, g_s, *g_l2)
 
-    parents = (probs,) if log_var is None else (probs, log_var)
-    return np.asarray(total), parents, bwd
+    parents = ((probs,) if log_var is None else (probs, log_var)) + l2
+    return np.asarray(total), parents, bwd, inside.size - int(np.count_nonzero(inside))
 
 
 # -- elementwise -------------------------------------------------------
 
 
-# An operand of ``add`` or ``mul`` that needs no gradient, such as the L2
-# factor, gets none computed.
+# An operand of ``add`` or ``mul`` that needs no gradient, such as a
+# constant, gets none computed.
 @_op("add")
 def add(a, b):
     a, b = _ensure_tensor(a), _ensure_tensor(b)

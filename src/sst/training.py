@@ -8,9 +8,8 @@ over the samples where task j was measured.  With uncertainty weighting
 each partial is scaled by exp(-s_jt) and regularized by s_jt/2, where
 s = log(sigma^2) is trainable and starts at 0 so both variants coincide
 at initialization.  An L2 penalty over dense/projection weights (never
-biases or norm gains) is added when l2_factor > 0.  The loss is one
-``tensor.multitask_nll`` tape node; with the penalty it is four (the op,
-``sum_of_squares``, the factor's ``mul`` and the ``add``).
+biases or norm gains) is added when l2_factor > 0.  The whole objective,
+penalty included, is one ``tensor.multitask_nll`` tape node.
 """
 
 from __future__ import annotations
@@ -83,8 +82,8 @@ class TaskWeights:
 def weighted_multitask_loss(probs, labels, label_mask, tw: TaskWeights,
                             use_uncertainty: bool,
                             l2_params=(), l2_factor: float = 0.0) -> Tensor:
-    """Scalar training objective over a batch: the ``multitask_nll`` op plus
-    the L2 penalty.
+    """Scalar training objective over a batch, the L2 penalty included, as
+    one ``multitask_nll`` node.
 
     probs/labels are [B, 2m] with (neg, pos) column pairs; label_mask is
     [B, m].  Each pair of raw sigmoid heads is normalized to a proper
@@ -94,18 +93,15 @@ def weighted_multitask_loss(probs, labels, label_mask, tw: TaskWeights,
     [PROB_FLOOR, 1 - PROB_FLOOR] = [1e-12, 1-1e-12] to that interval and
     zeroes their gradient; a batch with such a value logs a warning.
     """
-    probs = probs if isinstance(probs, Tensor) else Tensor(probs)
-    if np.any((probs.data < T.PROB_FLOOR) | (probs.data > 1.0 - T.PROB_FLOOR)):
-        logger.warning(
-            "predicted probabilities outside (0,1) clamped to [%g, %g]",
-            T.PROB_FLOOR, 1.0 - T.PROB_FLOOR,
-        )
     labels, label_mask = (a.data if isinstance(a, Tensor) else a for a in (labels, label_mask))
-    total = T.multitask_nll(probs, labels, label_mask, tw.w,
-                            tw.log_var if use_uncertainty else None)
-    l2_params = tuple(l2_params)
-    if l2_factor > 0.0 and l2_params:
-        total = total + T.sum_of_squares(l2_params) * l2_factor
+    total, n_clamped = T.multitask_nll(probs, labels, label_mask, tw.w,
+                                       tw.log_var if use_uncertainty else None,
+                                       l2_params, l2_factor)
+    if n_clamped:
+        logger.warning(
+            "%d predicted probabilities outside (0,1) clamped to [%g, %g]",
+            n_clamped, T.PROB_FLOOR, 1.0 - T.PROB_FLOOR,
+        )
     return total
 
 
@@ -369,11 +365,15 @@ class GridResult:
 
 def grid_points(value_lists: dict[str, list]) -> list[dict]:
     """Cartesian product in lexicographic order: keys in given order, each
-    key's values in given order."""
+    key's values in given order.  ``seed`` is not a grid key: each point's
+    seed derives from the base config's."""
     if not value_lists:
         raise ValueError("empty grid")
     keys = list(value_lists)
     for key in keys:
+        if key == "seed":
+            raise ValueError("grid key seed: each point's seed derives from the base "
+                             "seed; set seed as a scalar")
         if key not in SstConfig.field_names() and key not in GRID_ONLY_KEYS:
             raise ValueError(f"unknown grid key: {key}")
         if not value_lists[key]:

@@ -249,6 +249,20 @@ class TestTrain:
         assert code == 2
         assert "train_x.npy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair", [(1.5, -0.5), (0.5, 0.5)])
+    def test_label_other_than_0_or_1_names_the_file_and_exits_2(self, dataset, tmp_path,
+                                                                capsys, pair):
+        y_path = dataset.parent / "train_y.npy"
+        y = read_npy(y_path).array
+        y[3, 2:4] = pair
+        write_npy(y, y_path)
+        code = run(["train", "--manifest", str(dataset), "--set", "dmodel=8",
+                    "--epochs-max", "1", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "train_y.npy" in err and "sample 3, task 1" in err
+        assert not (tmp_path / "run" / CHECKPOINT_NAME).exists()
+
     def test_malformed_npy_header_exits_2(self, dataset, tmp_path, capsys):
         """A header dict with an unhashable key is a format error naming the
         byte, not a traceback."""
@@ -443,6 +457,13 @@ class TestGrid:
                     "--resume", "--out", str(out)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_seed_value_list_exits_2(self, dataset, tmp_path, capsys):
+        cfg = config_file(tmp_path, seed=[1, 2])
+        assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),
+                    "--out", str(tmp_path / "g")]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "g" / "grid_results.csv").exists()
+
     def test_no_value_lists_exits_2(self, dataset, tmp_path):
         cfg = config_file(tmp_path)
         assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),
@@ -526,6 +547,18 @@ class TestEval:
         with open(out / "report.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[1][1] == ""  # undefined AUC serialized as empty
+
+    def test_label_other_than_0_or_1_names_the_file_and_exits_2(self, trained, dataset,
+                                                                tmp_path, capsys):
+        y_path = dataset.parent / "test_y.npy"
+        y = read_npy(y_path).array
+        y[0, 0:2] = (-1.0, 2.0)
+        write_npy(y, y_path)
+        code = run(["eval", "--checkpoint", str(trained), "--manifest", str(dataset),
+                    "--out", str(tmp_path / "ev")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "test_y.npy" in err and "sample 0, task 0" in err
 
     def test_checkpoint_dataset_mismatch_exits_2(self, trained, tmp_path,
                                                  capsys):

@@ -30,6 +30,14 @@ class TestLabelMask:
         with pytest.raises(ValueError, match="sample 0, task 1"):
             D.derive_label_mask(np.array([[1.0, 0.0, 1.0, 1.0]]))
 
+    @pytest.mark.parametrize("pair", [(1.5, -0.5), (0.5, 0.5), (-1.0, 2.0)])
+    def test_rejects_entries_other_than_0_and_1(self, pair):
+        """Pairs that sum to 0 or 1 but hold other values would weight the
+        loss by them."""
+        labels = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, *pair]])
+        with pytest.raises(ValueError, match="sample 1, task 1 is"):
+            D.derive_label_mask(labels)
+
 
 class TestScaler:
     def test_midpoint(self):

@@ -3,6 +3,7 @@ constructors and tape; these tests run those calls at a tiny size, so that a
 change to sst that would break the benchmark fails here first."""
 
 import dataclasses
+import hashlib
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ if str(PERFBENCH) not in sys.path:
 import helpers  # noqa: E402
 import probes  # noqa: E402
 import workloads  # noqa: E402
+from sst import SstModel, fit, save_weights  # noqa: E402
 
 # c07's model and geometry on 640 samples: one full 256-sample batch and a
 # partial one per epoch, and a single traced epoch
@@ -52,10 +54,37 @@ def test_concat_of_two_splits():
 def test_traced_training_reproduces_fit(run):
     """The data probe and the traced replica of ``fit``'s loop, which calls
     the loss positionally, Adam, the task weights and both evaluations; a
-    full c07 batch records 19 tape nodes."""
+    full c07 batch records 16 tape nodes."""
     tracer = helpers.Tracer()
     train, val, _ = probes.probe_data(tracer, run)
     _, tape, _, _ = probes.probe_training(tracer, run, train, val)
     assert run.ledger.errors == []
     assert any("reproduces" in note for note in run.notes)
-    assert tape[0] == 19
+    assert tape[0] == 16
+
+
+# sha256 of the checkpoint after fit(epochs_max=N, patience=3) on each
+# benchmark workload's own data and config at seed 0, with uncertainty
+# weighting on and off.  Every change that keeps training bit for bit keeps
+# these; long_seq's batch of 64 at T=48 is the one that runs attention's
+# backward in several sample blocks.
+WORKLOAD_CHECKPOINT_SHA256 = {
+    ("c07_train", 3, True): "ba34974abccce515b89d9fb3a85e3a6190f07736597da65d5aa2600f7ef95118",
+    ("c07_train", 3, False): "55fbad26ba6bb97dbed7197edda8ac2478d6859298d60dbfb268c1a9b4d218ef",
+    ("long_seq", 1, True): "2741beb1dd1a26a8e20872817c560a3b71748f824677c4625c35eb4068b3dc7f",
+    ("long_seq", 1, False): "81fc510909b812b879af06ef66bfe39847f743bbab28bfa898b37a912e4cc137",
+    ("cli_pipeline", 3, True): "ce42f1a6422b06c3b20d27abe5f61a4ed1ea412951e123f74f3d941cba5491c9",
+    ("cli_pipeline", 3, False): "eb85dc927bfc0c95568bf7c19eec7579bf9bf5605d26935e38bac1b689c51285",
+}
+
+
+@pytest.mark.parametrize("name,epochs,uncertainty", list(WORKLOAD_CHECKPOINT_SHA256),
+                         ids=["-".join(map(str, k)) for k in WORKLOAD_CHECKPOINT_SHA256])
+def test_workload_checkpoint_bits(tmp_path, name, epochs, uncertainty):
+    wl = workloads.WORKLOADS[name]
+    data = wl.synth(0)
+    model = SstModel(dataclasses.replace(wl.config(0), uncertainty_weighting=uncertainty))
+    fit(model, data.train, data.val, epochs_max=epochs, patience=3)
+    save_weights(model, tmp_path / "checkpoint.sst")
+    digest = hashlib.sha256((tmp_path / "checkpoint.sst").read_bytes()).hexdigest()
+    assert digest == WORKLOAD_CHECKPOINT_SHA256[name, epochs, uncertainty]

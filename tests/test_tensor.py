@@ -82,6 +82,24 @@ class TestForwardOracles:
         out = (x + x) * x + x * x * -2.0
         np.testing.assert_allclose(out.data, [0.0, 0.0], atol=1e-12)
 
+    @pytest.mark.parametrize("clamped", [
+        {}, {(1, 3): 0.0},
+        {(0, 0): 1e-13, (0, 2): 1.25, (1, 1): -0.5, (2, 5): 1.0 - 1e-13},
+    ], ids=["none", "one", "several"])
+    def test_multitask_nll_counts_clamped_entries(self, clamped):
+        """``n_clamped`` counts the probs entries outside [PROB_FLOOR, 1 -
+        PROB_FLOOR], whose gradient is zero; the interval's ends do not
+        count, and an entry of an unmeasured task counts like any other."""
+        probs = np.random.default_rng(RNG_SEED).uniform(0.05, 0.95, size=(3, 6))
+        probs[2, 0], probs[1, 2] = T.PROB_FLOOR, 1.0 - T.PROB_FLOOR
+        for idx, value in clamped.items():
+            probs[idx] = value
+        p = Tensor(probs, requires_grad=True)
+        loss, n_clamped = T.multitask_nll(p, _NLL_LABELS, _NLL_MASK, _NLL_W)
+        assert n_clamped == len(clamped)
+        loss.backward()
+        assert all(p.grad[idx] == 0.0 for idx in clamped)
+
 
 class TestGradients:
     def test_square_sum_gradient(self):
@@ -252,14 +270,19 @@ def _nll_probs(rng):
 
 def _nll_case(wrt):
     """multitask_nll differentiated through probs, without (``plain``) or
-    with (``probs``) uncertainty weighting, or through ``log_var``."""
+    with (``probs``) uncertainty weighting, through ``log_var``, or through
+    an ``l2`` tensor that the penalty squares twice beside a constant."""
     probs = _nll_probs(np.random.default_rng(RNG_SEED + 5))
 
     def fn(x):
         if wrt == "log_var":
-            return T.multitask_nll(Tensor(probs), _NLL_LABELS, _NLL_MASK, _NLL_W, x)
+            return T.multitask_nll(Tensor(probs), _NLL_LABELS, _NLL_MASK, _NLL_W, x)[0]
+        if wrt == "l2":
+            return T.multitask_nll(Tensor(probs), _NLL_LABELS, _NLL_MASK, _NLL_W,
+                                   Tensor(_NLL_LOG_VAR), [x, Tensor(np.ones(3)), x * 3.0],
+                                   0.5)[0]
         log_var = None if wrt == "plain" else Tensor(_NLL_LOG_VAR)
-        return T.multitask_nll(x, _NLL_LABELS, _NLL_MASK, _NLL_W, log_var)
+        return T.multitask_nll(x, _NLL_LABELS, _NLL_MASK, _NLL_W, log_var)[0]
     return fn
 
 
@@ -275,8 +298,6 @@ GRAD_CASES = [
     ("residual_norm", lambda x: (_layer_norm(x, *_GAIN_BIAS, 1e-9) * x).sum(), _anywhere),
     ("residual_norm", _residual_case(0), _anywhere),
     ("residual_norm", _residual_case(1), _anywhere),
-    ("sum_of_squares", lambda x: T.sum_of_squares([x, Tensor(np.ones(3)), x * 3.0]),
-     _anywhere),
     ("attention", _attention_case(0), lambda rng: _anywhere(rng, (1, 3, 4))),
     ("attention", _attention_case(1), lambda rng: _anywhere(rng, (4, 4))),
     ("attention", _attention_case(2), lambda rng: _anywhere(rng, (4, 4))),
@@ -285,6 +306,7 @@ GRAD_CASES = [
     ("multitask_nll", _nll_case("plain"), _nll_probs),
     ("multitask_nll", _nll_case("probs"), _nll_probs),
     ("multitask_nll", _nll_case("log_var"), lambda rng: _anywhere(rng, (3, 2))),
+    ("multitask_nll", _nll_case("l2"), _anywhere, "l2"),
     ("add", lambda x: (x + 2.0 * x).sum(), _anywhere),
     ("mul", lambda x: (x * x).sum(), _anywhere),
     ("sum", lambda x: _squared_sum(x.sum()), _anywhere),
@@ -443,7 +465,7 @@ class TestGradCheck:
 
     def test_add_and_mul_compute_no_gradient_for_a_constant(self):
         """Neither op computes a gradient for an operand that needs none,
-        such as the L2 factor."""
+        such as a constant factor."""
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         for op in (T.add, T.mul):
             assert op(x, np.ones(3))._bwd(np.ones((2, 3)))[1] is None
@@ -528,17 +550,50 @@ class TestGradCheck:
         for g, wanted in zip(got, want):
             assert g.tobytes() == wanted.tobytes()
 
-    def test_sum_of_squares_matches_composite(self):
-        """The fused penalty adds the per-tensor sums in order, so its value
-        equals the chain of mul, sum and add nodes it replaces bit for bit."""
+    def test_multitask_nll_l2_bits_equal_the_chain(self):
+        """The L2 penalty inside ``multitask_nll``: the loss and the
+        gradients of probs, log_var and three weights equal those of the
+        chain the op replaced bit for bit, the loss node, ``sum((t *
+        t).sum())`` over the weights in order, the factor's ``mul`` and the
+        ``add``.  Each weight also feeds a ``linear``, so it takes two
+        gradient terms, and the
+        objective is scaled so that its upstream gradient is not 1.  The
+        replica adds the penalty on the left so that ``backward`` sums each
+        square's two ``mul`` terms before the ``linear`` term, as it did for
+        the single ``(2 g) * t`` term of the deleted penalty node."""
         rng = np.random.default_rng(RNG_SEED)
-        tensors = [Tensor(rng.normal(size=shape)) for shape in ((4, 3), (5,), (2, 3, 2))]
-        composite = (tensors[0] * tensors[0]).sum()
-        for t in tensors[1:]:
-            composite = composite + (t * t).sum()
-        assert T.sum_of_squares(tensors).item() == composite.item()
-        with pytest.raises(DomainError):
-            T.sum_of_squares([])
+        probs = _nll_probs(rng)
+        # the third weight is large, so that the order of the per-tensor
+        # sums and the place of the factor show in the loss's bits
+        arrays = (rng.normal(size=(4, 5)), rng.normal(size=(5, 3)),
+                  rng.normal(size=(3, 3)) * 30.0)
+        x = Tensor(rng.normal(size=(2, 4)))
+        b0, b1 = Tensor(np.zeros(5)), Tensor(np.zeros(3))
+        factor, scale = 0.1, 0.7
+
+        def leaves():
+            return (Tensor(probs, requires_grad=True), Tensor(_NLL_LOG_VAR, requires_grad=True),
+                    *(Tensor(a, requires_grad=True) for a in arrays))
+
+        def run(objective, params):
+            ws = params[2:]
+            hidden = T.linear(T.linear(x, ws[0], b0, "relu"), ws[1], b1, "relu")
+            (objective * scale + T.linear(hidden, ws[2], b1).sum()).backward()
+            return (objective.data, *(t.grad for t in params))
+
+        p, s, *ws = params = leaves()
+        fused, n_clamped = T.multitask_nll(p, _NLL_LABELS, _NLL_MASK, _NLL_W, s, ws, factor)
+        got = run(fused, params)
+        assert n_clamped == 1
+
+        p, s, *ws = params = leaves()
+        nll, _ = T.multitask_nll(p, _NLL_LABELS, _NLL_MASK, _NLL_W, s)
+        squares = (ws[0] * ws[0]).sum()
+        for w in ws[1:]:
+            squares = squares + (w * w).sum()
+        want = run(squares * factor + nll, params)
+        for g, wanted in zip(got, want):
+            assert g.tobytes() == wanted.tobytes()
 
     def test_attention_matches_composite(self):
         """The fused op against a plain-numpy forward of projections, split

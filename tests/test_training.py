@@ -574,12 +574,13 @@ class TestPinnedBits:
 class TestTape:
     def test_every_registered_op_is_on_a_training_tape(self):
         """One training step of a one-block model with dropout, uncertainty
-        weighting and L2 records every op in T.OPS but ``sum`` and no other,
-        so no op stays registered without a pipeline caller; ``sum`` stays
-        as the scalar that gradient checks and the perfbench layer probes
-        differentiate.  The node count is pinned: 1 embedding (its shift and
-        dropout run inside ``linear``), 5 per block, 1 pooling, 3 head (each
-        activation and dropout inside its ``linear``), 4 loss."""
+        weighting and L2 records every fused op in T.OPS and no other, so no
+        fused op stays registered without a pipeline caller; the generic
+        ``add``, ``mul`` and ``sum`` stay for gradient checks, the perfbench
+        probes and the demos.  The node count is pinned: 1 embedding (its
+        shift and dropout run inside ``linear``), 5 per block, 1 pooling, 3
+        head (each activation and dropout inside its ``linear``) and 1 for
+        the whole objective, L2 penalty included."""
         data = small_data()
         cfg = small_config(uncertainty_weighting=True, l2_factor=1e-4)
         model = SstModel(cfg)
@@ -592,12 +593,12 @@ class TestTape:
                                        model.l2_parameters(), cfg.l2_factor)
         loss.backward()
         ops = tape_ops(loss)
-        assert set(T.OPS) - set(ops) == {"sum"} and set(ops) <= set(T.OPS)
-        assert len(ops) == 14
+        assert set(T.OPS) - set(ops) == {"add", "mul", "sum"} and set(ops) <= set(T.OPS)
+        assert len(ops) == 11
         assert sorted(ops) == sorted(["linear"] * 6 + ["attention", "residual_norm",
-                                     "residual_norm", "masked_mean", "multitask_nll",
-                                     "sum_of_squares", "mul", "add"])
+                                     "residual_norm", "masked_mean", "multitask_nll"])
         assert ops.count("multitask_nll") == 1 and tw.log_var.grad is not None
+        assert loss._parents == (probs, tw.log_var, *model.l2_parameters())
 
 
 class TestGridSearch:
@@ -613,6 +614,12 @@ class TestGridSearch:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown grid key"):
             grid_points({"momentum": [0.9]})
+
+    def test_seed_rejected_as_a_grid_key(self):
+        """Point seeds derive from the base seed, so a seed value list would
+        collide with the derived seed of every point."""
+        with pytest.raises(ValueError, match="grid key seed"):
+            grid_points({"dff": [16], "seed": [1, 2]})
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
