@@ -148,6 +148,18 @@ class TestGradients:
         assert x.grad is None
         np.testing.assert_array_equal(y.grad, [1.0, 2.0])
 
+    def test_leaf_gradients_never_share_memory(self):
+        """``add`` hands both operands the same upstream gradient: each
+        leaf stores its own copy, and a leaf that two ops use stores the
+        sum of their terms."""
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        (a + b).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        c = Tensor([1.0, -1.0], requires_grad=True)
+        (c + c * 2.0).sum().backward()
+        np.testing.assert_array_equal(c.grad, [3.0, 3.0])
+
     def test_only_leaves_keep_grads(self):
         x = Tensor([1.0, -2.0], requires_grad=True)
         y = x * x
