@@ -736,41 +736,41 @@ def backward(loss: Tensor) -> None:
 
     ``loss`` must be scalar.  Gradients add onto whatever is already stored,
     so a second backward over the same graph doubles them; callers reset
-    ``grad`` to ``None`` between steps.  A tensor's gradient terms are
-    summed once the walk reaches it, in the order they arrived, so a
-    parameter that several ops use stores that fresh sum without a copy.
-    Each term and each sum is checked like any gradient: one that overflows
-    raises ``NumericsError`` naming the op whose contribution it took last,
-    or ``backward[leaf]`` for the add onto a stored ``grad``, which then
-    keeps its old value.
+    ``grad`` to ``None`` between steps.  A sum of gradients is checked like
+    any gradient: one that overflows raises ``NumericsError`` naming the op
+    whose contribution it took last, or ``backward[leaf]`` for the add onto
+    a stored ``grad``, which then keeps its old value.
     """
     if loss.data.size != 1:
         raise ShapeMismatchError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         return
-    # each tensor's gradient terms, with the op that made each one
-    terms: dict[int, list[tuple[np.ndarray, str]]] = {id(loss): [(np.ones_like(loss.data), "")]}
+    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     order = _topo_order(loss)
     with np.errstate(all="ignore"):
         for node in reversed(order):
-            got = terms.pop(id(node), None)
-            if got is None:
+            g = grads.pop(id(node), None)
+            if g is None:
                 continue
-            g = got[0][0]
-            for pg, op in got[1:]:
-                g = g + pg
-                _check_finite(g, f"backward[{op}]")
-            if node._bwd is not None:
-                for parent, pg in zip(node._parents, node._bwd(g)):
-                    if pg is not None and parent.requires_grad:
-                        _check_finite(pg, f"backward[{node._op}]")
-                        terms.setdefault(id(parent), []).append((pg, node._op))
-            elif node.grad is not None:
-                total = node.grad + g
-                _check_finite(total, "backward[leaf]")
-                node.grad = total
-            else:
-                node.grad = g if len(got) > 1 else g.copy()  # a lone term may be shared
+            if node._bwd is None:
+                if node.grad is None:
+                    node.grad = g.copy()
+                else:
+                    total = node.grad + g
+                    _check_finite(total, "backward[leaf]")
+                    node.grad = total
+                continue
+            parent_grads = node._bwd(g)
+            for parent, pg in zip(node._parents, parent_grads):
+                if pg is None or not parent.requires_grad:
+                    continue
+                # the accumulated sum is what gets checked: two finite
+                # contributions can overflow, and a finite acc plus a
+                # non-finite pg is non-finite
+                acc = grads.get(id(parent))
+                total = pg if acc is None else acc + pg
+                _check_finite(total, f"backward[{node._op}]")
+                grads[id(parent)] = total
 
 
 # -- gradient checking -------------------------------------------------
