@@ -12,6 +12,8 @@ The usual entry points:
 The ``sst`` console script wraps the same pipeline for the shell.
 """
 
+import os
+
 from sst.data import (
     Batch,
     derive_label_mask,
@@ -99,3 +101,31 @@ __all__ = [
     "time_split",
     "__version__",
 ]
+
+
+def _keep_heap() -> None:
+    """Keep freed heap memory for the next training step or inference block.
+
+    A training step allocates its tape, uses it and frees it, and the next
+    step allocates the same sizes again.  glibc by default trims the top of
+    the heap once more than twice its largest freed mmapped chunk is free
+    there, so whether a step's pages are returned and faulted in again
+    depends on which long-lived array happens to sit above them.  Arrays
+    up to 32 MiB therefore come from the heap, and its top is trimmed only
+    when more than 256 MiB is free.  An environment that sets either
+    threshold keeps its own choice; other C libraries are left alone.
+    """
+    if "CS_GNU_LIBC_VERSION" not in os.confstr_names:
+        return
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    if any(f"MALLOC_{name.upper()}_" in os.environ or f"glibc.malloc.{name}" in tunables
+           for name in ("mmap_threshold", "trim_threshold")):
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_heap()

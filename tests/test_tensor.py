@@ -959,3 +959,39 @@ class TestHypothesisProperties:
             return T.linear(x, w, b, "sigmoid").sum()
 
         assert grad_check(f, Tensor(rng.normal(size=(2, 3)))) < 1e-5
+
+
+class TestHeap:
+    STEP = (
+        "import resource, numpy as np\n"
+        "import sst\n"
+        "def step():\n"
+        "    xs = [np.ones(8192) for _ in range(128)]\n"
+        "    del xs\n"
+        "step()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(4):\n"
+        "    step()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+
+    @pytest.mark.skipif("CS_GNU_LIBC_VERSION" not in os.confstr_names,
+                        reason="sets glibc's malloc thresholds only")
+    @pytest.mark.parametrize("trim,kept", [(None, True), ("131072", False)],
+                             ids=["default", "environment"])
+    def test_step_memory_stays_on_the_heap(self, trim, kept):
+        """A step that allocates 8 MiB in 64 KiB arrays and frees them all
+        leaves those pages to the next step; glibc's default trims them, and
+        each later step faults about 2,000 pages in again.  A trim threshold
+        set in the environment is left as it is.  Runs in a subprocess
+        because the thresholds are set when sst is imported."""
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
+        env["PYTHONPATH"] = str(SRC)
+        if trim is not None:
+            env["MALLOC_TRIM_THRESHOLD_"] = trim
+        done = subprocess.run([sys.executable, "-W", "error", "-c", self.STEP], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        faults = int(done.stdout)
+        assert faults < 500 if kept else faults > 4000
