@@ -2,6 +2,9 @@
 # Train the full model on a synthetic two-task dataset and watch it
 # converge.  Takes about half a minute on a laptop CPU.
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from sst.data import synth_dataset
@@ -30,8 +33,10 @@ for rec in report.epochs[::10]:
 print("best epoch:", report.best_epoch, " stopped early:", report.stopped_early)
 
 # weights are restored to the best epoch; persist and reload them
-save_weights(model, "/tmp/demo_checkpoint.sst")
-clone = load_weights("/tmp/demo_checkpoint.sst")
+with tempfile.TemporaryDirectory() as tmp:
+    checkpoint = Path(tmp) / "demo_checkpoint.sst"
+    save_weights(model, checkpoint)
+    clone = load_weights(checkpoint)
 same = all(np.array_equal(a, b) for a, b in zip(model.state_arrays(),
                                                 clone.state_arrays()))
 print("checkpoint round trip exact:", same)

@@ -2,6 +2,9 @@
 # ROC curves and the per-task AUC report: compute, aggregate over seeds,
 # and export CSV plus a standalone SVG plot.
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from sst.metrics import (auc_score, format_report, multi_seed_report,
@@ -24,10 +27,11 @@ pos, neg = scores[labels == 1], scores[labels == 0]
 wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
 print("pair-counting check:", wins / (len(pos) * len(neg)))
 
-roc_to_csv([curve], "/tmp/demo_roc.csv")
-with open("/tmp/demo_roc.svg", "w") as fh:
-    fh.write(roc_svg(curve))
-print("wrote /tmp/demo_roc.csv and /tmp/demo_roc.svg")
+with tempfile.TemporaryDirectory() as tmp:
+    roc_csv, roc_svg_path = Path(tmp) / "demo_roc.csv", Path(tmp) / "demo_roc.svg"
+    roc_to_csv([curve], roc_csv)
+    roc_svg_path.write_text(roc_svg(curve))
+    print(f"wrote {roc_csv.name} and {roc_svg_path.name}")
 
 # a report aggregates per-task AUCs over several training runs
 per_run = [[0.84, 0.71], [0.86, 0.69], [0.88, 0.73]]

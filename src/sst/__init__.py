@@ -19,7 +19,6 @@ from sst.data import (
     derive_label_mask,
     label_counts,
     load_dataset,
-    pad_sequences,
     save_dataset,
     synth_dataset,
     time_split,
@@ -91,7 +90,6 @@ __all__ = [
     "load_dataset",
     "load_weights",
     "multi_seed_report",
-    "pad_sequences",
     "roc_curve",
     "roc_svg",
     "save_dataset",

@@ -87,27 +87,20 @@ def _structural_fields(manifest: dict) -> dict:
     }
 
 
+def _check_geometry(cfg: dict, manifest: dict, source: str) -> None:
+    """Geometry keys may be absent from ``cfg``; when present they must
+    agree with the data."""
+    for key, want in _structural_fields(manifest).items():
+        have = cfg.get(key, want)
+        if have != want:
+            raise ValueError(f"{source} {key}={have} does not match dataset ({want})")
+
+
 def _build_config(file_cfg: dict, manifest: dict, sets: dict) -> SstConfig:
-    """Merge config file, --set overrides, and dataset geometry.
-
-    Geometry keys may be omitted (they come from the manifest); when
-    present they must agree with the data.
-    """
+    """Merge config file, --set overrides, and dataset geometry."""
     merged = {**file_cfg, **sets}
-    for key, want in _structural_fields(manifest).items():
-        have = merged.setdefault(key, want)
-        if have != want:
-            raise ValueError(f"config {key}={have} does not match dataset ({want})")
-    return SstConfig.from_dict(merged)
-
-
-def _check_model_matches(model: SstModel, manifest: dict, source) -> None:
-    for key, want in _structural_fields(manifest).items():
-        have = getattr(model.config, key)
-        if have != want:
-            raise ValueError(
-                f"{source}: checkpoint {key}={have} does not match dataset ({want})"
-            )
+    _check_geometry(merged, manifest, "config")
+    return SstConfig.from_dict({**_structural_fields(manifest), **merged})
 
 
 # -- subcommands -------------------------------------------------------
@@ -206,6 +199,8 @@ def cmd_grid(args) -> int:
         raise ValueError("grid config has no value lists to sweep")
     base = _build_config(scalars, manifest, _parse_set(args.set))
     points = grid_points(value_lists)
+    for point in points:
+        _check_geometry(point, manifest, "grid config")
 
     print(f"{len(points)} grid points")
     if len(points) > GRID_CONFIRM_LIMIT and not args.confirm:
@@ -250,6 +245,8 @@ def cmd_grid(args) -> int:
 
 def cmd_eval(args) -> int:
     train, val, test, manifest = load_dataset(args.manifest)
+    if args.task is not None and not 0 <= args.task < manifest["m"]:
+        raise ValueError(f"--task {args.task} out of range for {manifest['m']} tasks")
     batch = {"train": train, "val": val, "test": test}[args.split]
     labels = batch.labels.data
     label_mask = batch.label_mask.data
@@ -258,7 +255,7 @@ def cmd_eval(args) -> int:
     first_probas = None
     for ck in args.checkpoint:
         model = load_weights(ck)
-        _check_model_matches(model, manifest, ck)
+        _check_geometry(vars(model.config), manifest, f"{ck}: checkpoint")
         probas = model.predict_proba(batch.x, batch.pad_mask).data
         if first_probas is None:
             first_probas = probas
@@ -275,8 +272,6 @@ def cmd_eval(args) -> int:
     if task is None:
         defined = [r for r in rows if r.mean_auc is not None]
         task = max(defined, key=lambda r: r.mean_auc).task_id if defined else None
-    elif not 0 <= task < len(rows):
-        raise ValueError(f"--task {task} out of range for {len(rows)} tasks")
 
     if task is None or rows[task].mean_auc is None:
         which = "no task has" if task is None else f"task {task} has no"

@@ -1,5 +1,5 @@
-"""Dataset preparation: scaling, imputation, padding, chronological splits,
-label accounting, manifest-driven loading, and synthetic data generation.
+"""Dataset preparation: chronological splits, label accounting,
+manifest-driven loading, and synthetic data generation.
 
 Conventions used throughout:
   - inputs are rank-3 [n_sample, time_step, feature] arrays;
@@ -77,124 +77,6 @@ def derive_label_mask(labels: np.ndarray) -> np.ndarray:
             f"label pair for sample {i}, task {j} sums to {sums[i, j]}, expected 0 or 1"
         )
     return (sums == 1.0).astype(np.float64)
-
-
-# -- scaling -----------------------------------------------------------
-
-
-@dataclass
-class ScalerState:
-    min_: np.ndarray  # per feature
-    max_: np.ndarray
-
-
-def fit_scaler(train_x) -> ScalerState:
-    """Per-feature min/max over every (sample, timestep) pair of the
-    training split.  Fit on training data only; apply everywhere."""
-    arr = np.asarray(train_x, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("cannot fit scaler on empty data")
-    flat = arr.reshape(-1, arr.shape[-1])
-    return ScalerState(min_=flat.min(axis=0), max_=flat.max(axis=0))
-
-
-def apply_scaler(state: ScalerState, x) -> np.ndarray:
-    """(x - min) / (max - min); constant features map to 0.  Out-of-range
-    values (e.g. validation beyond the training envelope) pass through
-    unclipped."""
-    arr = np.asarray(x, dtype=np.float64)
-    span = state.max_ - state.min_
-    safe = np.where(span == 0.0, 1.0, span)
-    out = (arr - state.min_) / safe
-    return np.where(span == 0.0, 0.0, out)
-
-
-# -- imputation --------------------------------------------------------
-
-
-def feature_modes(train_x) -> np.ndarray:
-    """Per-feature mode over all non-missing training values; ties break
-    toward the smallest value."""
-    arr = np.asarray(train_x, dtype=np.float64).reshape(-1, np.shape(train_x)[-1])
-    modes = np.empty(arr.shape[1])
-    for f in range(arr.shape[1]):
-        col = arr[:, f]
-        col = col[~np.isnan(col)]
-        if col.size == 0:
-            raise ValueError(f"feature {f} has no observed training values to take a mode from")
-        values, counts = np.unique(col, return_counts=True)
-        modes[f] = values[np.argmax(counts)]  # np.unique sorts, so ties pick the smallest
-    return modes
-
-
-def impute(x, stage_ids, modes: np.ndarray) -> np.ndarray:
-    """Fill NaNs within each (sample, stage) group by forward fill then
-    backward fill along time; anything still missing falls back to the
-    training mode of that feature."""
-    arr = np.array(x, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError(f"impute expects [B, T, F], got shape {arr.shape}")
-    stage_ids = np.asarray(stage_ids)
-    if stage_ids.shape != (arr.shape[1],):
-        raise ValueError(
-            f"stage_ids must have one entry per timestep ({arr.shape[1]}), got {stage_ids.shape}"
-        )
-    for stage in np.unique(stage_ids):
-        steps = np.flatnonzero(stage_ids == stage)
-        block = arr[:, steps, :]
-        # forward fill along the time axis
-        for k in range(1, len(steps)):
-            gap = np.isnan(block[:, k, :])
-            block[:, k, :][gap] = block[:, k - 1, :][gap]
-        # then backward fill
-        for k in range(len(steps) - 2, -1, -1):
-            gap = np.isnan(block[:, k, :])
-            block[:, k, :][gap] = block[:, k + 1, :][gap]
-        arr[:, steps, :] = block
-    residual = np.isnan(arr)
-    if np.any(residual):
-        arr = np.where(residual, np.broadcast_to(modes, arr.shape), arr)
-    return arr
-
-
-# -- padding -----------------------------------------------------------
-
-
-def percentile_length(lengths) -> int:
-    """Nearest-rank 99th percentile (ceil variant): the smallest length with
-    at least ceil(0.99*n) lengths at or below it."""
-    lengths = sorted(int(n) for n in lengths)
-    if not lengths:
-        raise ValueError("no sequence lengths given")
-    rank = max(1, math.ceil(0.99 * len(lengths)))
-    return lengths[rank - 1]
-
-
-def pad_sequences(sequences, t_star: int | None = None):
-    """Pad/truncate variable-length [T_i, F] sequences to a common length.
-
-    Returns (x [B, T*, F+1], pad_mask [B, T*], T*).  T* defaults to the
-    99th-percentile length; longer sequences keep their earliest T* steps.
-    The appended final feature column is the padding indicator.
-    """
-    sequences = [np.asarray(s, dtype=np.float64) for s in sequences]
-    if not sequences:
-        raise ValueError("pad_sequences needs at least one sequence")
-    for i, s in enumerate(sequences):
-        if s.ndim != 2 or s.shape[0] < 1:
-            raise ValueError(f"sequence {i} must be [T>=1, F], got shape {s.shape}")
-    n_features = sequences[0].shape[1]
-    if t_star is None:
-        t_star = percentile_length([s.shape[0] for s in sequences])
-
-    x = np.zeros((len(sequences), t_star, n_features + 1))
-    pad_mask = np.ones((len(sequences), t_star))
-    for i, s in enumerate(sequences):
-        keep = min(s.shape[0], t_star)
-        x[i, :keep, :n_features] = s[:keep]
-        pad_mask[i, :keep] = 0.0
-    x[:, :, -1] = pad_mask  # indicator column mirrors the mask
-    return x, pad_mask, t_star
 
 
 # -- splitting ---------------------------------------------------------

@@ -10,7 +10,6 @@ dash in rendered tables), never as a silent 0 or 1.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -174,30 +173,6 @@ def roc_to_csv(curves: list[RocCurve], path) -> None:
     write_table(path, ["task_id", "threshold", "fpr", "tpr"],
                 ([c.task_id, t, x, y]
                  for c in curves for t, x, y in zip(c.thresholds, c.fpr, c.tpr)))
-
-
-def roc_from_csv(path) -> list[RocCurve]:
-    by_task: dict[int, list[tuple[float, float, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["task_id", "threshold", "fpr", "tpr"]:
-            raise ValueError(f"unexpected ROC CSV header: {header}")
-        for row in reader:
-            by_task.setdefault(int(row[0]), []).append(
-                (float(row[1]), float(row[2]), float(row[3]))
-            )
-    curves = []
-    for task_id in sorted(by_task):
-        pts = by_task[task_id]
-        curves.append(RocCurve(
-            task_id=task_id,
-            thresholds=np.array([p[0] for p in pts]),
-            fpr=np.array([p[1] for p in pts]),
-            tpr=np.array([p[2] for p in pts]),
-            n_pos=0, n_neg=0,  # counts are not part of the ROC CSV schema
-        ))
-    return curves
 
 
 def roc_svg(curve: RocCurve) -> str:

@@ -434,8 +434,10 @@ def grid_search(base: SstConfig, value_lists: dict[str, list],
                 )
             cfg = replace(base, seed=derive_point_seed(base.seed, index), **overrides)
             model = SstModel(cfg)
-            fit(model, train, val, epochs_max=point_epochs, patience=patience)
-            aucs = [a for a in evaluate_aucs(model, val) if a is not None]
+            report = fit(model, train, val, epochs_max=point_epochs, patience=patience)
+            # fit restored the best epoch's weights, which scored these AUCs
+            best_aucs = report.epochs[report.best_epoch - 1].val_aucs
+            aucs = [a for a in best_aucs if a is not None]
             mean_auc = float(np.mean(aucs)) if aucs else float("nan")
             results.append(GridResult(index, point, mean_auc,
                                       time.monotonic() - started,

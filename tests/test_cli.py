@@ -337,6 +337,32 @@ class TestGrid:
         best = json.loads((out / "best_config.json").read_text())
         assert best["seed"] == derive_point_seed(0, 1)
 
+    @pytest.mark.parametrize("key, values", [
+        ("n_features", [9, 5]), ("max_timesteps", [3, 4]), ("n_tasks", [1, 2]),
+    ], ids=["n_features", "max_timesteps", "n_tasks"])
+    def test_geometry_value_that_does_not_match_the_data_exits_2(self, dataset, tmp_path,
+                                                                 capsys, key, values):
+        """The dataset has 8 features plus the indicator, 3 steps and 2 tasks:
+        a wrong value fails the command before any point trains."""
+        cfg = config_file(tmp_path, **{key: values})
+        out = tmp_path / "g"
+        code = run(["grid", "--manifest", str(dataset), "--config", str(cfg),
+                    "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{key}=" in captured.err and "does not match dataset" in captured.err
+        assert captured.out == ""
+        assert not (out / "grid_results.csv").exists()
+
+    def test_geometry_values_that_match_the_data_are_accepted(self, dataset, tmp_path):
+        cfg = config_file(tmp_path, n_features=[9], max_timesteps=[3], n_tasks=[2])
+        out = tmp_path / "g"
+        assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),
+                    "--epochs-max", "1", "--out", str(out)]) == 0
+        with open(out / "grid_results.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 2 and rows[1][4] == ""
+
     def test_confirm_gate(self, dataset, tmp_path, capsys):
         cfg = config_file(tmp_path,
                           dmodel=[8, 16, 24, 32, 40] + [48 + 8 * i for i in range(6)],
@@ -559,6 +585,18 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert "test_y.npy" in err and "sample 0, task 0" in err
+
+    @pytest.mark.parametrize("task", ["2", "99", "-1"])
+    def test_task_out_of_range_exits_2_before_scoring(self, trained, dataset, tmp_path,
+                                                     capsys, task):
+        out = tmp_path / "ev"
+        code = run(["eval", "--checkpoint", str(trained), "--manifest", str(dataset),
+                    "--task", task, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"--task {task} out of range for 2 tasks" in captured.err
+        assert captured.out == ""
+        assert not (out / "report.csv").exists()
 
     def test_checkpoint_dataset_mismatch_exits_2(self, trained, tmp_path,
                                                  capsys):

@@ -1,4 +1,4 @@
-"""Data pipeline: scaling, imputation, padding, splits, counts, synthesis."""
+"""Data pipeline: label masks, splits, counts, manifests, synthesis."""
 
 import hashlib
 import tracemalloc
@@ -37,103 +37,6 @@ class TestLabelMask:
         labels = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, *pair]])
         with pytest.raises(ValueError, match="sample 1, task 1 is"):
             D.derive_label_mask(labels)
-
-
-class TestScaler:
-    def test_midpoint(self):
-        state = D.fit_scaler(np.array([[[0.0], [10.0]]]))
-        np.testing.assert_allclose(D.apply_scaler(state, np.array([[[5.0]]])), [[[0.5]]])
-
-    def test_train_split_maps_to_unit_interval(self):
-        x = np.random.default_rng(0).normal(size=(6, 3, 4))
-        state = D.fit_scaler(x)
-        out = D.apply_scaler(state, x)
-        np.testing.assert_allclose(out.reshape(-1, 4).min(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(out.reshape(-1, 4).max(axis=0), 1.0, atol=1e-12)
-
-    def test_constant_feature_maps_to_zero(self):
-        x = np.full((2, 3, 1), 7.0)
-        out = D.apply_scaler(D.fit_scaler(x), x)
-        np.testing.assert_array_equal(out, np.zeros_like(x))
-
-    def test_out_of_range_values_not_clipped(self):
-        state = D.fit_scaler(np.array([[[0.0], [10.0]]]))
-        out = D.apply_scaler(state, np.array([[[20.0], [-10.0]]]))
-        np.testing.assert_allclose(out.ravel(), [2.0, -1.0])
-
-
-class TestImpute:
-    def test_backward_fill(self):
-        x = np.array([[[np.nan], [3.0]]])
-        out = D.impute(x, [0, 0], np.array([9.0]))
-        np.testing.assert_array_equal(out, [[[3.0], [3.0]]])
-
-    def test_forward_fill(self):
-        x = np.array([[[5.0], [np.nan]]])
-        out = D.impute(x, [0, 0], np.array([9.0]))
-        np.testing.assert_array_equal(out, [[[5.0], [5.0]]])
-
-    def test_mode_fallback(self):
-        x = np.array([[[np.nan], [np.nan]]])
-        out = D.impute(x, [0, 0], np.array([2.0]))
-        np.testing.assert_array_equal(out, [[[2.0], [2.0]]])
-
-    def test_fills_do_not_cross_stage_boundary(self):
-        # step 2 opens stage 1; its gap must come from step 3, not step 1
-        x = np.array([[[1.0], [1.0], [np.nan], [4.0]]])
-        out = D.impute(x, [0, 0, 1, 1], np.array([0.0]))
-        assert out[0, 2, 0] == 4.0
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(4, 5, 3))
-        x[rng.random(x.shape) < 0.3] = np.nan
-        modes = np.zeros(3)
-        once = D.impute(x, [0, 0, 1, 1, 1], modes)
-        twice = D.impute(once, [0, 0, 1, 1, 1], modes)
-        np.testing.assert_array_equal(once, twice)
-
-    def test_mode_tie_breaks_small(self):
-        train = np.array([[[1.0], [2.0], [1.0], [2.0]]])
-        assert D.feature_modes(train)[0] == 1.0
-
-    def test_all_missing_training_feature_rejected(self):
-        with pytest.raises(ValueError, match="feature 0"):
-            D.feature_modes(np.full((2, 2, 1), np.nan))
-
-
-class TestPadding:
-    def test_percentile_ignores_rare_outlier(self):
-        lengths = [2] * 100 + [50]
-        assert D.percentile_length(lengths) == 2
-
-    def test_equal_lengths_unchanged(self):
-        assert D.percentile_length([7, 7, 7]) == 7
-
-    def test_nearest_rank_oracle(self):
-        lengths = list(range(1, 201))  # 1..200
-        # ceil(0.99 * 200) = 198 -> 198th smallest
-        assert D.percentile_length(lengths) == 198
-
-    def test_short_sequence_padded_with_indicator(self):
-        x, mask, t_star = D.pad_sequences([np.ones((1, 2)), np.ones((2, 2))])
-        assert t_star == 2
-        np.testing.assert_array_equal(mask, [[0, 1], [0, 0]])
-        np.testing.assert_array_equal(x[0, 1], [0.0, 0.0, 1.0])  # zeros + indicator
-        np.testing.assert_array_equal(x[:, :, 2], mask)
-
-    def test_truncation_keeps_earliest(self):
-        long = np.arange(10, dtype=float).reshape(5, 2)
-        x, _, _ = D.pad_sequences([long], t_star=3)
-        np.testing.assert_array_equal(x[0, :, :2], long[:3])
-
-    def test_strip_recovers_originals(self):
-        rng = np.random.default_rng(2)
-        seqs = [rng.normal(size=(t, 3)) for t in (2, 4, 4, 3)]
-        x, mask, t_star = D.pad_sequences(seqs, t_star=4)
-        for i, s in enumerate(seqs):
-            real = mask[i] == 0
-            np.testing.assert_array_equal(x[i, real, :3], s[:t_star])
 
 
 class TestTimeSplit:
@@ -275,7 +178,8 @@ def test_synth_arrays_match_pinned_digest(kw, digest):
 
 def synth_per_sample(m, n_samples, timesteps, n_features, seed):
     """The inputs and latent scores built one sample at a time: one normal
-    draw and one mean per sequence, then ``pad_sequences``."""
+    draw and one mean per sequence, then zero padding to ``timesteps``
+    with the indicator column set to the pad mask."""
     rng = np.random.default_rng(seed)
     lengths = np.where(rng.random(n_samples) < 0.75, timesteps,
                        rng.integers(1, timesteps + 1, size=n_samples))
@@ -285,7 +189,12 @@ def synth_per_sample(m, n_samples, timesteps, n_features, seed):
         chosen = rng.choice(n_features, size=max(1, n_features // 2), replace=False)
         latent_w[j, chosen] = rng.normal(size=chosen.size)
     pooled = np.stack([s.mean(axis=0) for s in sequences])
-    x, pad_mask, _ = D.pad_sequences(sequences, t_star=timesteps)
+    x = np.zeros((n_samples, timesteps, n_features + 1))
+    pad_mask = np.ones((n_samples, timesteps))
+    for i, s in enumerate(sequences):
+        x[i, :len(s), :n_features] = s
+        pad_mask[i, :len(s)] = 0.0
+    x[:, :, -1] = pad_mask
     return x, pad_mask, pooled @ latent_w.T
 
 

@@ -183,18 +183,17 @@ class TestRocPersistence:
         curve = M.roc_curve(scores, labels, task_id=2)
         path = tmp_path / "roc.csv"
         M.roc_to_csv([curve], path)
-        (loaded,) = M.roc_from_csv(path)
-        assert loaded.task_id == 2
-        np.testing.assert_array_equal(loaded.fpr, curve.fpr)
-        np.testing.assert_array_equal(loaded.tpr, curve.tpr)
-        assert M.auc(loaded) == M.auc(curve)
+        task_id, _, fpr, tpr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+        np.testing.assert_array_equal(task_id, 2)
+        assert fpr.tobytes() == curve.fpr.tobytes()
+        assert tpr.tobytes() == curve.tpr.tobytes()
 
     def test_inf_threshold_survives_round_trip(self, tmp_path):
         curve = M.roc_curve([0.9, 0.1], [1, 0])
         path = tmp_path / "roc.csv"
         M.roc_to_csv([curve], path)
-        (loaded,) = M.roc_from_csv(path)
-        assert loaded.thresholds[0] == np.inf
+        thresholds = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1]
+        assert thresholds[0] == np.inf
 
     def test_svg_contains_polyline(self):
         curve = M.roc_curve([0.9, 0.4, 0.1], [1, 0, 0])
