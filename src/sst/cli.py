@@ -33,7 +33,7 @@ from sst.metrics import (
     task_aucs,
 )
 from sst.fileio import atomic_write, write_table
-from sst.model import SstConfig, SstModel, load_weights, save_weights
+from sst.model import CheckpointError, SstConfig, SstModel, load_weights, save_weights
 from sst.training import DivergenceError, GridResult, fit, grid_points, grid_search
 
 ENV_OUT_DIR = "SST_OUT_DIR"
@@ -142,23 +142,21 @@ def cmd_train(args) -> int:
         report = fit(model, train, val,
                      epochs_max=args.epochs_max, patience=args.patience)
     except DivergenceError as err:
-        last_finite = len(err.report.epochs) if err.report is not None else 0
-        if err.report is not None and err.report.epochs:
+        if err.report.epochs:
             err.report.to_csv(log_path)
-        print(f"error: {err} (last finite epoch: {last_finite})", file=sys.stderr)
+        print(f"error: {err} (last finite epoch: {len(err.report.epochs)})", file=sys.stderr)
         return 3
 
     save_weights(model, out / CHECKPOINT_NAME)
     report.to_csv(log_path)
-    if report.epochs:
-        # the checkpoint holds the best epoch's weights, so show its AUCs
-        aucs = report.epochs[report.best_epoch - 1].val_aucs
-        shown = ", ".join("—" if a is None else f"{a:.4f}" for a in aucs)
-        print(f"trained {len(report.epochs)} epochs; best epoch "
-              f"{report.best_epoch} (val loss {report.best_val_loss:.6f}); "
-              f"val AUC [{shown}]")
-        if report.stopped_early:
-            print("stopped early: validation loss plateaued")
+    # the checkpoint holds the best epoch's weights, so show its AUCs
+    aucs = report.epochs[report.best_epoch - 1].val_aucs
+    shown = ", ".join("—" if a is None else f"{a:.4f}" for a in aucs)
+    print(f"trained {len(report.epochs)} epochs; best epoch "
+          f"{report.best_epoch} (val loss {report.best_val_loss:.6f}); "
+          f"val AUC [{shown}]")
+    if report.stopped_early:
+        print("stopped early: validation loss plateaued")
     print(f"wrote {out / CHECKPOINT_NAME} and {log_path}")
     return 0
 
@@ -170,19 +168,17 @@ def _write_grid_csv(path, results: list[GridResult]) -> None:
 
 
 def _read_grid_csv(path) -> dict[int, GridResult]:
-    """Rows of a results CSV.  A file from before the fingerprint column
-    still loads; its rows carry an empty fingerprint, so none is reused."""
+    """Rows of a results CSV whose header is ``GRID_COLUMNS``."""
     out = {}
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0] not in (GRID_COLUMNS, GRID_COLUMNS[:-1]):
+    if not rows or rows[0] != GRID_COLUMNS:
         raise ValueError(f"{path}: not a grid results CSV")
     for line, row in enumerate(rows[1:], start=2):
         try:
             index = int(row[0])
-            fingerprint = row[5] if len(row) > 5 else ""
             out[index] = GridResult(index, json.loads(row[1]), float(row[2]),
-                                    float(row[3]), row[4], fingerprint)
+                                    float(row[3]), row[4], row[5])
         except (IndexError, ValueError) as err:
             raise ValueError(f"{path}: malformed row on line {line}: {err}") from err
     return out
@@ -197,7 +193,11 @@ def cmd_grid(args) -> int:
     scalars = {k: v for k, v in raw.items() if not isinstance(v, list)}
     if not value_lists:
         raise ValueError("grid config has no value lists to sweep")
-    base = _build_config(scalars, manifest, _parse_set(args.set))
+    sets = _parse_set(args.set)
+    for key in sets:
+        if key in value_lists:
+            raise ValueError(f"--set {key}: the grid config sweeps this key")
+    base = _build_config(scalars, manifest, sets)
     points = grid_points(value_lists)
     for point in points:
         _check_geometry(point, manifest, "grid config")
@@ -254,7 +254,10 @@ def cmd_eval(args) -> int:
     per_run = []
     first_probas = None
     for ck in args.checkpoint:
-        model = load_weights(ck)
+        try:
+            model = load_weights(ck)
+        except CheckpointError as err:
+            raise CheckpointError(f"{ck}: {err}") from err
         _check_geometry(vars(model.config), manifest, f"{ck}: checkpoint")
         probas = model.predict_proba(batch.x, batch.pad_mask).data
         if first_probas is None:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from sst.fileio import atomic_write
-from sst.npyio import read_npy, write_npy
+from sst.npyio import NpyFormatError, read_npy, write_npy
 from sst.tensor import NumericsError, Tensor
 
 
@@ -167,12 +167,16 @@ def load_split(x_path, y_path, *, n_tasks: int) -> Batch:
     label must be strictly 0/1; published files are validated, not
     trusted, and an error names the file.
     """
-    x_npy = read_npy(x_path)
-    y_npy = read_npy(y_path)
-    if x_npy.fortran_order or y_npy.fortran_order:
-        raise ValueError("pipeline accepts C-order arrays only")
-    x = x_npy.array.astype(np.float64, copy=False)
-    y = y_npy.array.astype(np.float64, copy=False)
+    arrays = []
+    for path in (x_path, y_path):
+        try:
+            npy = read_npy(path)
+        except NpyFormatError as err:
+            raise NpyFormatError(f"{path}: {err}") from err
+        if npy.fortran_order:
+            raise ValueError(f"{path}: pipeline accepts C-order arrays only")
+        arrays.append(npy.array.astype(np.float64, copy=False))
+    x, y = arrays
     if x.ndim != 3:
         raise ValueError(f"{x_path}: expected rank-3 [n, T, F], got shape {x.shape}")
     if y.ndim != 2 or y.shape[1] != 2 * n_tasks:

@@ -29,19 +29,12 @@ from sst.tensor import DomainError, ShapeMismatchError, Tensor
 CHECKPOINT_MAGIC = b"SSTCKPT"
 CHECKPOINT_VERSION = 1
 
-# Byte budget of one inference block's widest activation.  A whole-split
-# forward at T=48 builds [N, h, T, T] arrays of tens of MB each, past
-# glibc's 32 MiB mmap threshold, so every call maps and faults in fresh
-# pages.  On a Xeon with 2 MiB of L2 per core, one 512-sample score at
-# long_seq's shape took a median 220 ms at 2 MiB, about the same at 1 and
-# 4 MiB, 252 ms at 0.5 and 8 MiB, and 364 ms unblocked.
-INFER_BLOCK_BYTES = 2 * 1024 * 1024
-# Token rows (samples x T) of one inference block.  Under the byte budget
-# alone a short-sequence model gets blocks of thousands of samples, whose
-# activations of over a megabyte each were freed and faulted in again on
-# every call: a 2,560-sample score at c07's shape (T=2) took about 2,000
-# minor faults per call in one block, and none in blocks of 1,024 samples.
-# long_seq's shape (T=48) keeps its 28-sample blocks under both bounds.
+# Token rows (samples x T) of one inference block.  A whole-split forward
+# builds activations of tens of MB, past glibc's 32 MiB mmap threshold, so
+# every call maps and faults in fresh pages: a 2,560-sample score at c07's
+# shape (T=2) took about 2,000 minor faults per call in one block, and none
+# in blocks of 1,024 samples.  At long_seq's shape (T=48, 4 heads) a block
+# is 42 samples, whose [42, 4, 48, 48] attention weights take 3.1 MB.
 INFER_BLOCK_TOKENS = 2048
 
 
@@ -183,13 +176,10 @@ class SstModel(L.Module):
         """Raw [N, 2*n_tasks] head scores of an inference-mode forward, run
         without a tape in blocks of samples.
 
-        A block holds as many samples as keep its widest activation,
-        ``[rows, T, max(n_heads * T, dmodel, dff)]`` float64 (the attention
-        weights, the model width or the feed-forward width), within
-        ``INFER_BLOCK_BYTES`` and its ``rows * T`` token rows within
-        ``INFER_BLOCK_TOKENS``, and at least two.  Shapes and padding are
-        checked on the whole input before any block runs, so an error names
-        a sample by its index in ``x``.
+        A block holds as many samples as keep its ``rows * T`` token rows
+        within ``INFER_BLOCK_TOKENS``, and at least two.  Shapes and padding
+        are checked on the whole input before any block runs, so an error
+        names a sample by its index in ``x``.
 
         Every op works on each sample's rows alone, so the scores equal
         those of one whole-input forward bit for bit.  That needs every
@@ -207,9 +197,7 @@ class SstModel(L.Module):
         n, length = data.shape[:2]
         if n == 1:
             data, mask = np.repeat(data, 2, axis=0), np.repeat(mask, 2, axis=0)
-        row_bytes = 8 * length * max(cfg.n_heads * length, cfg.dmodel, cfg.dff)
-        rows = max(2, min(INFER_BLOCK_BYTES // max(1, row_bytes),
-                          INFER_BLOCK_TOKENS // max(1, length)))
+        rows = max(2, INFER_BLOCK_TOKENS // max(1, length))
         edges = [*range(0, max(len(data) - 1, 1), rows), len(data)]
         out = np.empty((len(data), 2 * cfg.n_tasks))
         with T.no_grad():

@@ -118,7 +118,7 @@ def parse_npy(blob: bytes | bytearray) -> NpyArray:
     if not isinstance(fortran_order, bool):
         raise NpyFormatError(f"fortran_order at byte 10 must be a bool, got {fortran_order!r}")
     shape = header["shape"]
-    if not (isinstance(shape, tuple) and all(isinstance(s, int) and s >= 0 for s in shape)):
+    if not (isinstance(shape, tuple) and all(type(s) is int and s >= 0 for s in shape)):
         raise NpyFormatError(f"shape at byte 10 must be a tuple of non-negative ints, got {shape!r}")
 
     dtype = np.dtype(SUPPORTED_DESCRS[descr])

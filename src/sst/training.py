@@ -35,7 +35,7 @@ class DivergenceError(ArithmeticError):
     """Training produced a non-finite quantity; carries where it happened
     and the report accumulated up to the last finite epoch."""
 
-    def __init__(self, message: str, epoch: int, step: int, report=None):
+    def __init__(self, message: str, epoch: int, step: int, report: TrainReport):
         super().__init__(message)
         self.epoch = epoch
         self.step = step
@@ -150,46 +150,37 @@ class Adam:
         self.v = [self._v[s].reshape(p.shape) for s, (_, p) in zip(self._spans, params)]
 
     def step(self, lr: float) -> None:
-        """One update of every parameter that has a gradient.  All gradients
-        are checked first, so a non-finite one raises before any parameter,
-        moment or the step count changes."""
-        grads = [p.grad for _, p in self.params]
-        g = self._g
-        if grads and all(grad is not None for grad in grads):
-            np.concatenate(grads, axis=None, out=g)
-            spans = [slice(None)]
-        else:
-            spans = []
-            for s, grad in zip(self._spans, grads):
-                if grad is not None:
-                    g[s] = grad.reshape(-1)
-                    spans.append(s)
-        if not all(np.isfinite(g[s]).all() for s in spans):
-            name = next(name for name, p in self.params
-                        if p.grad is not None and not np.isfinite(p.grad).all())
+        """One update of every parameter.  Every parameter must have a
+        gradient, and all gradients are checked first, so a missing or
+        non-finite one raises before any parameter, moment or the step
+        count changes."""
+        missing = next((name for name, p in self.params if p.grad is None), None)
+        if missing is not None:
+            raise ValueError(f"parameter '{missing}' has no gradient")
+        m, v, g, m_hat, v_hat = self._m, self._v, self._g, self._m_hat, self._v_hat
+        np.concatenate([p.grad for _, p in self.params], axis=None, out=g)
+        if not np.isfinite(g).all():
+            name = next(name for name, p in self.params if not np.isfinite(p.grad).all())
             raise NumericsError(f"non-finite gradient for parameter '{name}'")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for s in spans:
-            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-            # p - lr*m_hat / (sqrt(v_hat) + eps), computed in place with the
-            # same operations in the same order, so with the same bits
-            m, v, gs, m_hat, v_hat = self._m[s], self._v[s], g[s], self._m_hat[s], self._v_hat[s]
-            m *= b1
-            m += np.multiply(1.0 - b1, gs, out=m_hat)
-            v *= b2
-            np.multiply(1.0 - b2, gs, out=v_hat)
-            v_hat *= gs
-            v += v_hat
-            np.divide(m, 1.0 - b1 ** self.t, out=m_hat)
-            np.divide(v, 1.0 - b2 ** self.t, out=v_hat)
-            m_hat *= lr
-            np.sqrt(v_hat, out=v_hat)
-            v_hat += self.eps
-            m_hat /= v_hat
-        for s, (_, p), grad in zip(self._spans, self.params, grads):
-            if grad is not None:
-                p.data = p.data - self._m_hat[s].reshape(p.shape)
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        # p - lr*m_hat / (sqrt(v_hat) + eps), computed in place with the
+        # same operations in the same order, so with the same bits
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=m_hat)
+        v *= b2
+        np.multiply(1.0 - b2, g, out=v_hat)
+        v_hat *= g
+        v += v_hat
+        np.divide(m, 1.0 - b1 ** self.t, out=m_hat)
+        np.divide(v, 1.0 - b2 ** self.t, out=v_hat)
+        m_hat *= lr
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.eps
+        m_hat /= v_hat
+        for s, (_, p) in zip(self._spans, self.params):
+            p.data = p.data - m_hat[s].reshape(p.shape)
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -259,7 +250,9 @@ def fit(model: SstModel, train: Batch, val: Batch, *,
         epochs_max: int | None = None, patience: int = 100,
         task_weights: TaskWeights | None = None) -> TrainReport:
     """Train until validation loss stops improving for `patience` epochs
-    (or `epochs_max`), then restore the best snapshot.
+    (or `epochs_max`), then restore the best snapshot.  Both must be
+    integers of at least 1, and ``epochs_max`` may be None for no cap;
+    anything else raises ``ValueError`` naming the argument.
 
     Deterministic for a fixed config/seed/data: shuffling, dropout, and
     initialization all derive from config.seed.
@@ -269,10 +262,13 @@ def fit(model: SstModel, train: Batch, val: Batch, *,
     step's tape when the next forward starts.
     """
     cfg = model.config
+    for name, value in (("epochs_max", epochs_max), ("patience", patience)):
+        if value is None and name == "epochs_max":
+            continue  # no cap: patience alone stops training
+        if not (type(value) is int and value >= 1):
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     if train.n_samples == 0 or val.n_samples == 0:
         raise ValueError("train and validation splits must be non-empty")
-    if epochs_max is not None and epochs_max <= 0:
-        return TrainReport()
 
     if task_weights is None:
         counts = label_counts(train.labels.data, train.label_mask.data)
@@ -301,7 +297,6 @@ def fit(model: SstModel, train: Batch, val: Batch, *,
         return loss.item()
 
     report = TrainReport()
-    best_snap = None
     since_improved = 0
     step = 0
     epoch = 0
@@ -342,9 +337,9 @@ def fit(model: SstModel, train: Batch, val: Batch, *,
                 report.stopped_early = True
                 break
 
-    if best_snap is not None:
-        model.load_state_arrays(best_snap[0])
-        tw.log_var.data = best_snap[1]
+    # epoch 1 always improves on inf (every op checks its output is finite)
+    model.load_state_arrays(best_snap[0])
+    tw.log_var.data = best_snap[1]
     return report
 
 
@@ -408,9 +403,9 @@ def grid_search(base: SstConfig, value_lists: dict[str, list],
                 progress=None) -> tuple[SstConfig, list[GridResult]]:
     """Train one model per grid point and pick the best mean validation
     AUC; ties keep the earliest point.  A failed point is recorded with
-    its error and the search continues; an ``epochs_max`` that is not an
-    integer of at least 1 fails its point.  An `existing` row (from a previous
-    partial run) is reused without retraining only when its stored values
+    its error and the search continues; ``fit`` rejects an ``epochs_max``
+    that is not an integer of at least 1, which fails its point.  An
+    `existing` row (from a previous partial run) is reused without retraining only when its stored values
     equal the point at its index and its fingerprint equals this search's
     ``grid_fingerprint``; any other row is retrained.
     """
@@ -427,11 +422,6 @@ def grid_search(base: SstConfig, value_lists: dict[str, list],
         point_epochs = point.get("epochs_max", epochs_max)
         started = time.monotonic()
         try:
-            if point_epochs is not None and not (type(point_epochs) is int
-                                                 and point_epochs >= 1):
-                raise ValueError(
-                    f"epochs_max must be an integer of at least 1, got {point_epochs!r}"
-                )
             cfg = replace(base, seed=derive_point_seed(base.seed, index), **overrides)
             model = SstModel(cfg)
             report = fit(model, train, val, epochs_max=point_epochs, patience=patience)

@@ -274,6 +274,21 @@ class TestTrain:
         assert code == 2
         assert "byte 10" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, blob", [
+        ("val_x.npy", lambda old: old[:-8]),
+        ("val_y.npy", lambda old: b"\x93NUMPY\x01\x00\x3f\x00"
+         b"{'descr': '<f8', 'fortran_order': False, 'shape': (2, True), }\n" + bytes(16)),
+    ], ids=["truncated", "bool_in_shape"])
+    def test_malformed_npy_names_the_file_and_exits_2(self, dataset, tmp_path, capsys,
+                                                      name, blob):
+        """A format error in any of the six split files names that file."""
+        path = dataset.parent / name
+        path.write_bytes(blob(path.read_bytes()))
+        code = run(["train", "--manifest", str(dataset), "--set", "dmodel=8",
+                    "--epochs-max", "1", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"{path}: " in capsys.readouterr().err
+
     def test_divergence_exits_3_and_logs_last_epoch(self, dataset, tmp_path,
                                                     capsys, monkeypatch):
         import sst.cli as cli_mod
@@ -423,24 +438,23 @@ class TestGrid:
         assert "resuming: reused 0 of 1 stored rows" in text
         assert json.loads((out / "best_config.json").read_text())["dmodel"] == 8
 
-    def test_resume_reads_a_csv_without_fingerprints(self, dataset, tmp_path, capsys):
-        """A results file from before the fingerprint column loads, but its
-        rows are not trusted: every point is retrained."""
+    def test_resume_from_a_csv_without_fingerprints_exits_2(self, dataset, tmp_path,
+                                                            capsys):
+        """A results file without the fingerprint column is not a grid
+        results CSV: resuming from it trains nothing and leaves it as is."""
         cfg = config_file(tmp_path, epochs_max=[1])
         out = tmp_path / "g"
         out.mkdir()
-        (out / "grid_results.csv").write_text(
-            "index,values,mean_val_auc,seconds,error\n"
-            '0,"{""epochs_max"": 1}",0.99,1.0,\n'
-        )
+        old = ("index,values,mean_val_auc,seconds,error\n"
+               '0,"{""epochs_max"": 1}",0.99,1.0,\n')
+        (out / "grid_results.csv").write_text(old)
         assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),
-                    "--resume", "--out", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "resuming: reused 0 of 1 stored rows" in text
-        assert "point 1/1 mean val AUC" in text
-        with open(out / "grid_results.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert float(rows[1][2]) != 0.99 and len(rows[1][-1]) == 64
+                    "--resume", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "not a grid results CSV" in captured.err
+        assert "point 1/1" not in captured.out
+        assert (out / "grid_results.csv").read_text() == old
+        assert not (out / "best_config.json").exists()
 
     def test_interrupted_grid_resumes_from_its_completed_points(self, dataset, tmp_path,
                                                                  capsys, monkeypatch):
@@ -482,6 +496,19 @@ class TestGrid:
         assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),
                     "--resume", "--out", str(out)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_set_on_a_swept_key_exits_2(self, dataset, tmp_path, capsys):
+        """--set cannot override a key the grid sweeps: the command fails
+        naming the key before any point trains or any file is written."""
+        cfg = config_file(tmp_path, lr_factor=[0.5])
+        out = tmp_path / "g"
+        code = run(["grid", "--manifest", str(dataset), "--config", str(cfg),
+                    "--set", "lr_factor=0.001", "--epochs-max", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--set lr_factor" in captured.err
+        assert captured.out == ""
+        assert not (out / "grid_results.csv").exists()
 
     def test_seed_value_list_exits_2(self, dataset, tmp_path, capsys):
         cfg = config_file(tmp_path, seed=[1, 2])
@@ -596,6 +623,18 @@ class TestEval:
         assert code == 2
         assert f"--task {task} out of range for 2 tasks" in captured.err
         assert captured.out == ""
+        assert not (out / "report.csv").exists()
+
+    def test_malformed_checkpoint_names_its_file_and_exits_2(self, trained, dataset,
+                                                            tmp_path, capsys):
+        """Of two checkpoints, the truncated second is the one named."""
+        broken = tmp_path / "broken.sst"
+        broken.write_bytes(trained.read_bytes()[:-8])
+        out = tmp_path / "ev"
+        code = run(["eval", "--checkpoint", str(trained), "--checkpoint", str(broken),
+                    "--manifest", str(dataset), "--out", str(out)])
+        assert code == 2
+        assert f"{broken}: truncated checkpoint" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
     def test_checkpoint_dataset_mismatch_exits_2(self, trained, tmp_path,

@@ -209,15 +209,11 @@ class TestPredictProba:
         np.testing.assert_array_equal(p.data, pair_probabilities(taped.data))
 
 
-# TINY's widest activation per sample is [T=4, max(2 * 4, 8, 8)] float64
-TINY_ROW_BYTES = 8 * 4 * 8
-
-
 def blocked_tiny_model(monkeypatch, budget_rows):
     """A TINY model whose inference blocks are budgeted at ``budget_rows``
     samples, and the batch sizes of the forwards it runs."""
     model = tiny_model(seed=1)
-    monkeypatch.setattr(model_module, "INFER_BLOCK_BYTES", budget_rows * TINY_ROW_BYTES)
+    monkeypatch.setattr(model_module, "INFER_BLOCK_TOKENS", budget_rows * 4)  # T=4
     sizes = []
     forward = model.forward
 
@@ -268,18 +264,6 @@ class TestBlockedInference:
         assert _validate(model, batch, tw) == (
             loss, task_aucs(pair_probabilities(raw), labels, label_mask))
 
-    def test_token_rows_cap_the_block(self, monkeypatch):
-        """Under a byte budget that fits all seven samples, a cap of 12
-        token rows, three samples at T=4, runs blocks of 3 and 4 with the
-        scores of one forward."""
-        x, mask = seven_samples()
-        model, sizes = blocked_tiny_model(monkeypatch, 7)
-        monkeypatch.setattr(model_module, "INFER_BLOCK_TOKENS", 3 * 4)
-        with no_grad():
-            raw = tiny_model(seed=1).forward(x, mask).data
-        np.testing.assert_array_equal(model.infer(x, mask), raw)
-        assert sizes == [3, 4]
-
     def test_one_sample_scores_as_its_row_in_a_larger_input(self):
         """At c07's shape, a sample scored alone gets bit for bit the scores
         of its row in a larger input; a one-sample forward would run the
@@ -321,8 +305,8 @@ class TestBlockedInference:
 
     def test_scoring_peak_memory_is_a_few_blocks(self):
         """One forward over 256 samples at T=48 with 4 heads would hold
-        [256, 4, 48, 48] float64 arrays of 18.9 MB each; blocks of 28
-        samples keep the traced peak near 5 MB."""
+        [256, 4, 48, 48] float64 arrays of 18.9 MB each; blocks of 42
+        samples keep the traced peak near 6 MB."""
         cfg = SstConfig(n_features=13, max_timesteps=48, n_tasks=4,
                         dmodel=32, dff=64, n_heads=4)
         model = SstModel(cfg)

@@ -156,6 +156,15 @@ def test_unhashable_header_key_is_a_format_error(header):
         parse_npy(_with_header(header, b""))
 
 
+@pytest.mark.parametrize("shape", ["(2, True)", "(True, 2)"])
+def test_bool_in_shape_is_a_format_error(shape):
+    """A bool is an int to isinstance, but not an extent: the header is
+    malformed, even with the data bytes its product would need."""
+    header = f"{{'descr': '<f8', 'fortran_order': False, 'shape': {shape}, }}"
+    with pytest.raises(NpyFormatError, match="byte 10"):
+        parse_npy(_with_header(header, b"\x00" * 16))
+
+
 def test_shape_whose_int64_product_wraps_is_a_format_error():
     """274177 * 67280421310721 is 2**64 + 1, which wraps to 1 in int64 and
     would match 8 data bytes."""

@@ -304,7 +304,7 @@ class TestAdam:
 
     def test_five_steps_equal_the_out_of_place_formulas(self):
         """The in-place update keeps every bit of parameters and moments,
-        for two parameters, one of them without a gradient on one step."""
+        for two parameters over five steps."""
         rng = np.random.default_rng(5)
         b1, b2, eps = Adam.beta1, Adam.beta2, Adam.eps
         shapes = ((6, 5), (7,))
@@ -316,14 +316,10 @@ class TestAdam:
         for t in range(1, 6):
             lr = 0.01 * t
             grads = [rng.normal(size=sh) for sh in shapes]
-            if t == 3:
-                grads[1] = None
             for p, g in zip(params, grads):
-                p.grad = None if g is None else g.copy()
+                p.grad = g.copy()
             adam.step(lr)
             for i, g in enumerate(grads):
-                if g is None:
-                    continue
                 ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
                 ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * g * g
                 m_hat = ref_m[i] / (1.0 - b1 ** t)
@@ -336,10 +332,9 @@ class TestAdam:
 
     def test_step_after_a_non_finite_gradient_equals_the_formulas(self):
         """An inf in the second of three gradients raises naming that
-        parameter, while the finite first one is already gathered into the
-        flat buffer; the next step, in which the first parameter has no
-        gradient, still equals the per-parameter formulas bit for bit, and
-        the moments stay views of the flat buffers."""
+        parameter, after every gradient is gathered into the flat buffer;
+        the next step still equals the per-parameter formulas bit for bit,
+        and the moments stay views of the flat buffers."""
         rng = np.random.default_rng(9)
         b1, b2, eps = Adam.beta1, Adam.beta2, Adam.eps
         shapes = ((3, 2), (4,), (2, 2))
@@ -352,20 +347,34 @@ class TestAdam:
         with pytest.raises(NumericsError, match="'p1'"):
             adam.step(0.01)
         assert adam.t == 0
-        grads = [None, rng.normal(size=shapes[1]), rng.normal(size=shapes[2])]
+        grads = [rng.normal(size=sh) for sh in shapes]
         before = [p.data.copy() for p in params]
         for p, g in zip(params, grads):
             p.grad = g
         adam.step(0.01)
-        assert params[0].data.tobytes() == before[0].tobytes()
-        assert not adam.m[0].any() and not adam.v[0].any()
-        for i in (1, 2):
+        for i in range(3):
             m = (1.0 - b1) * grads[i]
             v = (1.0 - b2) * grads[i] * grads[i]
             want = before[i] - 0.01 * (m / (1.0 - b1)) / (np.sqrt(v / (1.0 - b2)) + eps)
             assert params[i].data.tobytes() == want.tobytes()
             assert adam.m[i].tobytes() == m.tobytes() and adam.v[i].tobytes() == v.tobytes()
             assert adam.m[i].base is adam.m[0].base is adam.v[i].base
+
+    def test_missing_gradient_raises_naming_the_parameter(self):
+        """Every parameter must have a gradient: a missing one raises naming
+        it, and the step count, moments and parameters stay as they were."""
+        p0 = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        p1 = Tensor(np.array([3.0]), requires_grad=True)
+        adam = Adam([("p0", p0), ("p1", p1)])
+        p0.grad, p1.grad = np.array([0.5, -0.5]), np.array([1.0])
+        adam.step(0.01)
+        before = [a.copy() for a in (p0.data, p1.data, *adam.m, *adam.v)]
+        p0.grad, p1.grad = np.array([0.25, 0.25]), None
+        with pytest.raises(ValueError, match="'p1' has no gradient"):
+            adam.step(0.01)
+        assert adam.t == 1
+        for a, b in zip(before, (p0.data, p1.data, *adam.m, *adam.v)):
+            assert a.tobytes() == b.tobytes()
 
     def test_update_signs_invariant_to_loss_scale(self):
         rng = np.random.default_rng(13)
@@ -443,12 +452,16 @@ class TestFit:
         if report.stopped_early:
             assert len(report.epochs) == report.best_epoch + patience
 
-    def test_zero_epochs_is_a_no_op(self):
+    @pytest.mark.parametrize("name", ["epochs_max", "patience"])
+    @pytest.mark.parametrize("value", [0, -2, 1.5, True])
+    def test_epoch_cap_or_patience_below_one_raises(self, name, value):
+        """An epoch cap or patience that is not an integer of at least 1
+        raises naming the argument, before the model changes."""
         data = small_data()
         model = SstModel(small_config())
         before = model.state_arrays()
-        report = fit(model, data.train, data.val, epochs_max=0)
-        assert report.epochs == []
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
+            fit(model, data.train, data.val, **{name: value})
         for a, b in zip(before, model.state_arrays()):
             np.testing.assert_array_equal(a, b)
 
