@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sst.data import label_counts, load_dataset, save_dataset, synth_dataset
+from sst.data import SPLIT_NAMES, label_counts, load_splits, save_dataset, synth_dataset
 from sst.metrics import (
     format_report,
     multi_seed_report,
@@ -131,7 +131,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    train, val, _test, manifest = load_dataset(args.manifest)
+    (train, val), manifest = load_splits(args.manifest, ("train", "val"))
     file_cfg = _read_json_object(args.config) if args.config else {}
     cfg = _build_config(file_cfg, manifest, _parse_set(args.set))
     model = SstModel(cfg)
@@ -187,7 +187,7 @@ def _read_grid_csv(path) -> dict[int, GridResult]:
 def cmd_grid(args) -> int:
     if args.config is None:
         raise ValueError("grid requires --config with at least one value list")
-    train, val, _test, manifest = load_dataset(args.manifest)
+    (train, val), manifest = load_splits(args.manifest, ("train", "val"))
     raw = _read_json_object(args.config)
     value_lists = {k: list(v) for k, v in raw.items() if isinstance(v, list)}
     scalars = {k: v for k, v in raw.items() if not isinstance(v, list)}
@@ -244,10 +244,9 @@ def cmd_grid(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    train, val, test, manifest = load_dataset(args.manifest)
+    (batch,), manifest = load_splits(args.manifest, (args.split,))
     if args.task is not None and not 0 <= args.task < manifest["m"]:
         raise ValueError(f"--task {args.task} out of range for {manifest['m']} tasks")
-    batch = {"train": train, "val": val, "test": test}[args.split]
     labels = batch.labels.data
     label_mask = batch.label_mask.data
 
@@ -365,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", action="append", required=True,
                    help="checkpoint file (repeat for a multi-seed report)")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.add_argument("--task", type=int, default=None,
                    help="task for the ROC export (default: highest AUC)")
     _add_out(p)

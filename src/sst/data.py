@@ -68,7 +68,7 @@ def derive_label_mask(labels: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"label for sample {i}, task {col // 2} is {labels[i, col]}, expected 0 or 1"
         )
-    pairs = labels.reshape(labels.shape[0], -1, 2)
+    pairs = labels.reshape(labels.shape[0], labels.shape[1] // 2, 2)
     sums = pairs.sum(axis=2)
     bad = (sums != 0.0) & (sums != 1.0)
     if np.any(bad):
@@ -113,12 +113,14 @@ def label_counts(labels, label_mask) -> np.ndarray:
     negative, 1 = positive)."""
     labels = np.asarray(labels, dtype=np.float64)
     mask = np.asarray(label_mask, dtype=np.float64)
-    pairs = labels.reshape(labels.shape[0], -1, 2)
+    pairs = labels.reshape(labels.shape[0], labels.shape[1] // 2, 2)
     counts = (pairs * mask[:, :, None]).sum(axis=0)
     return counts.astype(np.int64)
 
 
 # -- manifest ----------------------------------------------------------
+
+SPLIT_NAMES = ("train", "val", "test")
 
 MANIFEST_INT_KEYS = ("m", "n_features", "timesteps", "seed")
 MANIFEST_KEYS = {*MANIFEST_INT_KEYS, "splits"}
@@ -208,20 +210,26 @@ def load_split(x_path, y_path, *, n_tasks: int) -> Batch:
     )
 
 
-def load_dataset(manifest_path):
-    """Load train/val/test Batches as named in a manifest; paths are
-    resolved relative to the manifest file."""
+def load_splits(manifest_path, names=SPLIT_NAMES) -> tuple[list[Batch], dict]:
+    """Load the named splits of a manifest, and only those, as Batches in
+    the order named; paths are resolved relative to the manifest file.
+    Returns ``(batches, manifest)``."""
     manifest = load_manifest(manifest_path)
     base = Path(manifest_path).parent
-    batches = {}
-    for split in ("train", "val", "test"):
+    batches = []
+    for split in names:
         if split not in manifest["splits"]:
             raise ValueError(f"manifest lacks split '{split}'")
         entry = manifest["splits"][split]
-        batches[split] = load_split(
-            base / entry["x"], base / entry["y"], n_tasks=manifest["m"]
-        )
-    return batches["train"], batches["val"], batches["test"], manifest
+        batches.append(load_split(base / entry["x"], base / entry["y"], n_tasks=manifest["m"]))
+    return batches, manifest
+
+
+def load_dataset(manifest_path):
+    """Load the train/val/test Batches of a manifest; returns
+    ``(train, val, test, manifest)``."""
+    (train, val, test), manifest = load_splits(manifest_path)
+    return train, val, test, manifest
 
 
 # -- synthetic data ----------------------------------------------------
@@ -236,6 +244,10 @@ class SynthData:
     timesteps: int          # padded length T*
 
 
+# samples per normal draw in synth_dataset; bounds its temporaries
+_SYNTH_BLOCK_ROWS = 1024
+
+
 def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
                   separability: float, imbalance: float, seed: int,
                   ratios=(70, 14, 8), label_rate: float = 0.9) -> SynthData:
@@ -247,16 +259,19 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
     (infinite separability means none), and the top `imbalance` fraction
     becomes positive.  Labels are measured with probability label_rate.
     Sequence lengths vary (about a quarter are shorter than `timesteps`),
-    and splits are chronological in generation order.
+    and splits are chronological in generation order; a ratio that leaves
+    a split empty raises ``ValueError`` before anything is drawn.
 
-    The data is built with whole-array operations.  One ``rng.normal`` draw
-    of ``[sum of lengths, F]`` gives the same numbers as one ``[t_i, F]``
-    draw per sample in sample order, so every later draw is unchanged too.
-    The time average is one mean per distinct length t, over exactly the
-    first t steps of that length's samples.  Each sample's steps are then
-    added in the order a mean of its own ``[t, F]`` array adds them; a sum
-    over the padded length divided by t adds them in another order (numpy
-    sums a ``[t, 1]`` array pairwise) and changes the last bit.
+    Each split's ``x`` is allocated once and filled in place, in blocks of
+    ``_SYNTH_BLOCK_ROWS`` samples.  A block's ``rng.normal`` draw of
+    ``[sum of its lengths, F]`` continues the one stream, so the blocks
+    together give the same numbers as one ``[t_i, F]`` draw per sample in
+    sample order, and every later draw is unchanged too.  The time average
+    is one mean per distinct length t in a block, over exactly the first t
+    steps of that length's samples.  Each sample's steps are then added in
+    the order a mean of its own ``[t, F]`` array adds them; a sum over the
+    padded length divided by t adds them in another order (numpy sums a
+    ``[t, 1]`` array pairwise) and changes the last bit.
     """
     if min(m, n_samples, timesteps, n_features) < 1:
         raise ValueError("m, n_samples, timesteps, n_features must all be positive")
@@ -271,6 +286,13 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
         raise ValueError(
             f"infeasible imbalance: {imbalance} of {n_samples} samples yields no positives"
         )
+    spans = time_split(range(n_samples), ratios)
+    for name, span in zip(SPLIT_NAMES, spans):
+        if not span:
+            raise ValueError(
+                f"{name} split is empty: {n_samples} samples at ratios {tuple(ratios)} "
+                f"give split sizes {tuple(len(s) for s in spans)}"
+            )
 
     rng = np.random.default_rng(seed)
     lengths = np.where(
@@ -278,13 +300,25 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
         timesteps,
         rng.integers(1, timesteps + 1, size=n_samples),
     )
-    # boolean indexing walks the observed (sample, step) positions in
-    # sample order, the order of the draw
-    observed = np.arange(timesteps) < lengths[:, None]  # [B, T]
-    x = np.zeros((n_samples, timesteps, n_features + 1))
-    x[observed, :n_features] = rng.normal(size=(int(lengths.sum()), n_features))
-    pad_mask = (~observed).astype(np.float64)
-    x[:, :, -1] = pad_mask  # indicator column mirrors the mask
+    pad_mask = (np.arange(timesteps) >= lengths[:, None]).astype(np.float64)  # [B, T]
+    pooled = np.empty((n_samples, n_features))  # [B, F]
+    xs = []
+    for span in spans:
+        x = np.zeros((len(span), timesteps, n_features + 1))
+        for lo in range(0, len(span), _SYNTH_BLOCK_ROWS):
+            block = x[lo:lo + _SYNTH_BLOCK_ROWS]
+            first = span.start + lo
+            block_lengths = lengths[first:first + len(block)]
+            # boolean indexing walks the observed (sample, step) positions
+            # in sample order, the order of the draw
+            observed = pad_mask[first:first + len(block)] == 0.0
+            block[observed, :n_features] = rng.normal(
+                size=(int(block_lengths.sum()), n_features))
+            for t in np.unique(block_lengths):
+                rows = np.flatnonzero(block_lengths == t)
+                pooled[first + rows] = block[rows, :t, :n_features].mean(axis=1)
+        x[:, :, -1] = pad_mask[span.start:span.stop]  # indicator column mirrors the mask
+        xs.append(x)
 
     support = max(1, n_features // 2)
     latent_w = np.zeros((m, n_features))
@@ -292,16 +326,13 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
         chosen = rng.choice(n_features, size=support, replace=False)
         latent_w[j, chosen] = rng.normal(size=support)
 
-    pooled = np.empty((n_samples, n_features))  # [B, F]
-    for t in np.unique(lengths):
-        rows = np.flatnonzero(lengths == t)
-        pooled[rows] = x[rows, :t, :n_features].mean(axis=1)
     scores = pooled @ latent_w.T  # [B, m]
+    del pooled
 
-    noisy = scores.copy()
+    noisy = scores
     if math.isfinite(separability):
         sd = scores.std(axis=0) / separability
-        noisy = noisy + rng.normal(size=scores.shape) * sd
+        noisy = scores + rng.normal(size=scores.shape) * sd
 
     labels = np.zeros((n_samples, 2 * m))
     present = (rng.random((n_samples, m)) < label_rate).astype(np.float64)
@@ -312,16 +343,14 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
             raise ValueError(f"infeasible imbalance: task {j} received no positive labels")
         labels[:, 2 * j] = np.where(present[:, j] == 1.0, ~positive, 0.0)
         labels[:, 2 * j + 1] = np.where(present[:, j] == 1.0, positive, 0.0)
+    label_mask = derive_label_mask(labels)
 
-    idx = np.arange(n_samples)
-    parts = time_split(idx, ratios)
-    full = Batch(
-        x=Tensor(x),
-        pad_mask=Tensor(pad_mask),
-        labels=Tensor(labels),
-        label_mask=Tensor(derive_label_mask(labels)),
+    train, val, test = (
+        Batch(x=Tensor(x), pad_mask=Tensor(pad_mask[s.start:s.stop]),
+              labels=Tensor(labels[s.start:s.stop]),
+              label_mask=Tensor(label_mask[s.start:s.stop]))
+        for x, s in zip(xs, spans)
     )
-    train, val, test = (full.take(p) for p in parts)
     return SynthData(train=train, val=val, test=test,
                      latent_scores=scores, timesteps=timesteps)
 

@@ -70,6 +70,15 @@ class TestSynth:
         argv[argv.index("--samples") + 1] = "0"
         assert run(argv) == 2
 
+    def test_split_left_empty_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        """10 samples at 70/14/8 split (9, 1, 0): no test split to write."""
+        argv = list(SYNTH) + ["--out", str(tmp_path)]
+        argv[argv.index("--samples") + 1] = "10"
+        assert run(argv) == 2
+        assert "test split is empty" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.npy"))
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_missing_flag_exits_2(self, tmp_path):
         assert run(["synth", "--tasks", "2", "--out", str(tmp_path)]) == 2
 
@@ -612,6 +621,21 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert "test_y.npy" in err and "sample 0, task 0" in err
+
+    def test_reads_only_its_split(self, trained, dataset, tmp_path, capsys):
+        """A corrupt train file does not stop scoring the test split; a
+        corrupt test file does, and is named."""
+        for name in ("train_x.npy", "test_x.npy"):
+            path = dataset.parent / name
+            path.write_bytes(path.read_bytes()[:-8])
+            code = run(["eval", "--checkpoint", str(trained), "--manifest", str(dataset),
+                        "--split", "test", "--out", str(tmp_path / "ev")])
+            if name == "train_x.npy":
+                assert code == 0
+                assert (tmp_path / "ev" / "report.csv").exists()
+            else:
+                assert code == 2
+                assert f"{path}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("task", ["2", "99", "-1"])
     def test_task_out_of_range_exits_2_before_scoring(self, trained, dataset, tmp_path,

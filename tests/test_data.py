@@ -38,6 +38,10 @@ class TestLabelMask:
         with pytest.raises(ValueError, match="sample 1, task 1 is"):
             D.derive_label_mask(labels)
 
+    def test_zero_rows(self):
+        mask = D.derive_label_mask(np.zeros((0, 6)))
+        assert mask.shape == (0, 3)
+
 
 class TestTimeSplit:
     def test_92_week_layout(self):
@@ -84,6 +88,10 @@ class TestLabelCounts:
     def test_empty_mask_all_zero(self):
         labels = np.zeros((4, 6))
         counts = D.label_counts(labels, np.zeros((4, 3)))
+        np.testing.assert_array_equal(counts, np.zeros((3, 2)))
+
+    def test_zero_rows(self):
+        counts = D.label_counts(np.zeros((0, 6)), np.zeros((0, 3)))
         np.testing.assert_array_equal(counts, np.zeros((3, 2)))
 
 
@@ -134,6 +142,26 @@ class TestSynthDataset:
         with pytest.raises(ValueError, match="infeasible"):
             D.synth_dataset(m=1, n_samples=20, timesteps=2, n_features=4,
                             separability=4.0, imbalance=0.01, seed=1)
+
+    def test_empty_split_rejected(self):
+        with pytest.raises(ValueError, match=r"test split is empty.*\(9, 1, 0\)"):
+            D.synth_dataset(m=1, n_samples=10, timesteps=2, n_features=4,
+                            separability=4.0, imbalance=0.5, seed=1)
+
+    def test_peak_memory_within_half_above_the_returned_arrays(self):
+        """Each split is filled in place block by block: no full-size draw,
+        gather or copy of ``x`` is held next to the returned arrays."""
+        tracemalloc.start()
+        try:
+            data = D.synth_dataset(m=11, n_samples=20608, timesteps=4, n_features=40,
+                                   separability=4.0, imbalance=0.2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = data.latent_scores.nbytes + sum(
+            t.data.nbytes for b in (data.train, data.val, data.test)
+            for t in (b.x, b.pad_mask, b.labels, b.label_mask))
+        assert peak <= 1.5 * returned
 
 
 # sha256 over every array synth_dataset returns, for the benchmark's three
