@@ -300,11 +300,12 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
         timesteps,
         rng.integers(1, timesteps + 1, size=n_samples),
     )
+    # the outputs are allocated before any temporary, so the temporaries
+    # freed during the fill leave no holes between them on the heap
+    xs = [np.zeros((len(span), timesteps, n_features + 1)) for span in spans]
     pad_mask = (np.arange(timesteps) >= lengths[:, None]).astype(np.float64)  # [B, T]
     pooled = np.empty((n_samples, n_features))  # [B, F]
-    xs = []
-    for span in spans:
-        x = np.zeros((len(span), timesteps, n_features + 1))
+    for x, span in zip(xs, spans):
         for lo in range(0, len(span), _SYNTH_BLOCK_ROWS):
             block = x[lo:lo + _SYNTH_BLOCK_ROWS]
             first = span.start + lo
@@ -318,7 +319,6 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
                 rows = np.flatnonzero(block_lengths == t)
                 pooled[first + rows] = block[rows, :t, :n_features].mean(axis=1)
         x[:, :, -1] = pad_mask[span.start:span.stop]  # indicator column mirrors the mask
-        xs.append(x)
 
     support = max(1, n_features // 2)
     latent_w = np.zeros((m, n_features))
