@@ -259,8 +259,9 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
     (infinite separability means none), and the top `imbalance` fraction
     becomes positive.  Labels are measured with probability label_rate.
     Sequence lengths vary (about a quarter are shorter than `timesteps`),
-    and splits are chronological in generation order; a ratio that leaves
-    a split empty raises ``ValueError`` before anything is drawn.
+    and splits are chronological in generation order; a sample count or
+    ratio that leaves a split empty raises ``ValueError`` before anything
+    is drawn.
 
     Each split's ``x`` is allocated once and filled in place, in blocks of
     ``_SYNTH_BLOCK_ROWS`` samples.  A block's ``rng.normal`` draw of
@@ -346,10 +347,10 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
     label_mask = derive_label_mask(labels)
 
     train, val, test = (
-        Batch(x=Tensor(x), pad_mask=Tensor(pad_mask[s.start:s.stop]),
-              labels=Tensor(labels[s.start:s.stop]),
-              label_mask=Tensor(label_mask[s.start:s.stop]))
-        for x, s in zip(xs, spans)
+        Batch(x=Tensor(x), pad_mask=Tensor(pad_mask[span.start:span.stop]),
+              labels=Tensor(labels[span.start:span.stop]),
+              label_mask=Tensor(label_mask[span.start:span.stop]))
+        for x, span in zip(xs, spans)
     )
     return SynthData(train=train, val=val, test=test,
                      latent_scores=scores, timesteps=timesteps)

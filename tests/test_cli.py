@@ -625,17 +625,19 @@ class TestEval:
     def test_reads_only_its_split(self, trained, dataset, tmp_path, capsys):
         """A corrupt train file does not stop scoring the test split; a
         corrupt test file does, and is named."""
-        for name in ("train_x.npy", "test_x.npy"):
+        def truncate(name):
             path = dataset.parent / name
             path.write_bytes(path.read_bytes()[:-8])
-            code = run(["eval", "--checkpoint", str(trained), "--manifest", str(dataset),
-                        "--split", "test", "--out", str(tmp_path / "ev")])
-            if name == "train_x.npy":
-                assert code == 0
-                assert (tmp_path / "ev" / "report.csv").exists()
-            else:
-                assert code == 2
-                assert f"{path}: " in capsys.readouterr().err
+            return path
+
+        argv = ["eval", "--checkpoint", str(trained), "--manifest", str(dataset),
+                "--split", "test", "--out", str(tmp_path / "ev")]
+        truncate("train_x.npy")
+        assert run(argv) == 0
+        assert (tmp_path / "ev" / "report.csv").exists()
+        test_x = truncate("test_x.npy")
+        assert run(argv) == 2
+        assert f"{test_x}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("task", ["2", "99", "-1"])
     def test_task_out_of_range_exits_2_before_scoring(self, trained, dataset, tmp_path,
