@@ -176,10 +176,12 @@ def _read_grid_csv(path) -> dict[int, GridResult]:
         raise ValueError(f"{path}: not a grid results CSV")
     for line, row in enumerate(rows[1:], start=2):
         try:
+            if len(row) != len(GRID_COLUMNS):
+                raise ValueError(f"{len(row)} fields, expected {len(GRID_COLUMNS)}")
             index = int(row[0])
             out[index] = GridResult(index, json.loads(row[1]), float(row[2]),
                                     float(row[3]), row[4], row[5])
-        except (IndexError, ValueError) as err:
+        except ValueError as err:
             raise ValueError(f"{path}: malformed row on line {line}: {err}") from err
     return out
 
@@ -380,7 +382,7 @@ def main(argv=None) -> int:
     except ArithmeticError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -136,10 +136,10 @@ def save_manifest(path, *, m: int, n_features: int, timesteps: int, seed: int,
 
 def load_manifest(path) -> dict:
     """A manifest is a JSON object with exactly the ``MANIFEST_KEYS``: int
-    (not bool) ``m``, ``n_features``, ``timesteps`` and ``seed``, and
-    ``splits`` mapping each split name to an object of string ``x`` and
-    ``y`` paths.  Anything else raises ``ValueError`` naming the file and
-    the key."""
+    (not bool) ``m``, ``n_features`` and ``timesteps`` of at least 1 and
+    ``seed`` of at least 0, and ``splits`` mapping each split name to an
+    object of string ``x`` and ``y`` paths.  Anything else raises
+    ``ValueError`` naming the file and the key."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: manifest must be a JSON object, got {type(doc).__name__}")
@@ -148,8 +148,12 @@ def load_manifest(path) -> dict:
             f"{path}: manifest must have exactly keys {sorted(MANIFEST_KEYS)}, got {sorted(doc)}"
         )
     for key in MANIFEST_INT_KEYS:
-        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
-            raise ValueError(f"{path}: manifest key '{key}' must be an integer, got {doc[key]!r}")
+        least = 0 if key == "seed" else 1
+        if isinstance(doc[key], bool) or not isinstance(doc[key], int) or doc[key] < least:
+            raise ValueError(
+                f"{path}: manifest key '{key}' must be an integer of at least {least}, "
+                f"got {doc[key]!r}"
+            )
     if not isinstance(doc["splits"], dict):
         raise ValueError(
             f"{path}: manifest key 'splits' must be an object, got {type(doc['splits']).__name__}"
@@ -161,43 +165,39 @@ def load_manifest(path) -> dict:
     return doc
 
 
-def load_split(x_path, y_path, *, n_tasks: int) -> Batch:
+def load_split(x_path, y_path, *, m: int, timesteps: int, n_features: int) -> Batch:
     """Load one split from NPY files, deriving both masks.
 
-    The padding mask comes from the indicator column (last feature); the
-    label mask comes from (neg, pos) pair sums.  The indicator and every
-    label must be strictly 0/1; published files are validated, not
-    trusted, and an error names the file.
+    ``x`` must have shape ``(n, timesteps, n_features)`` and ``y`` shape
+    ``(n, 2m)``, with ``n`` the sample count of ``x``.  The padding mask
+    is the indicator column (last feature), and every sample needs an
+    unpadded step; the label mask comes from (neg, pos) pair sums.  The
+    indicator and every label must be strictly 0/1; published files are
+    validated, not trusted, and an error names the file.
     """
-    arrays = []
-    for path in (x_path, y_path):
+    tensors = []
+    for path, tail in ((x_path, (timesteps, n_features)), (y_path, (2 * m,))):
         try:
             npy = read_npy(path)
         except NpyFormatError as err:
             raise NpyFormatError(f"{path}: {err}") from err
         if npy.fortran_order:
             raise ValueError(f"{path}: pipeline accepts C-order arrays only")
-        arrays.append(npy.array.astype(np.float64, copy=False))
-    x, y = arrays
-    if x.ndim != 3:
-        raise ValueError(f"{x_path}: expected rank-3 [n, T, F], got shape {x.shape}")
-    if y.ndim != 2 or y.shape[1] != 2 * n_tasks:
-        raise ValueError(
-            f"{y_path}: expected [n, {2 * n_tasks}] labels, got shape {y.shape}"
-        )
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"sample count mismatch: {x_path} has {x.shape[0]}, {y_path} has {y.shape[0]}"
-        )
-    tensors = []
-    for path, arr in ((x_path, x), (y_path, y)):
+        n = (tensors[0] if tensors else npy).shape[:1]  # y takes x's sample count
+        want = (*n, *tail)
+        if npy.shape != want:
+            raise ValueError(f"{path}: expected shape {want} from the manifest, got {npy.shape}")
         try:  # the Tensor's own finiteness check is the only pass over the data
-            tensors.append(Tensor(arr))
+            tensors.append(Tensor(npy.array.astype(np.float64, copy=False)))
         except NumericsError as err:
             raise ValueError(f"{path}: contains NaN or Inf values") from err
+    x, y = (t.data for t in tensors)
     indicator = x[:, :, -1]
     if not np.all(np.isin(indicator, (0.0, 1.0))):
         raise ValueError(f"{x_path}: padding indicator column contains non-0/1 values")
+    all_padded = indicator.all(axis=1)
+    if all_padded.any():
+        raise ValueError(f"{x_path}: sample {int(np.argmax(all_padded))} is padded at every step")
     try:
         label_mask = derive_label_mask(y)
     except ValueError as err:
@@ -221,7 +221,9 @@ def load_splits(manifest_path, names=SPLIT_NAMES) -> tuple[list[Batch], dict]:
         if split not in manifest["splits"]:
             raise ValueError(f"manifest lacks split '{split}'")
         entry = manifest["splits"][split]
-        batches.append(load_split(base / entry["x"], base / entry["y"], n_tasks=manifest["m"]))
+        batches.append(load_split(base / entry["x"], base / entry["y"], m=manifest["m"],
+                                  timesteps=manifest["timesteps"],
+                                  n_features=manifest["n_features"]))
     return batches, manifest
 
 
@@ -344,12 +346,11 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
             raise ValueError(f"infeasible imbalance: task {j} received no positive labels")
         labels[:, 2 * j] = np.where(present[:, j] == 1.0, ~positive, 0.0)
         labels[:, 2 * j + 1] = np.where(present[:, j] == 1.0, positive, 0.0)
-    label_mask = derive_label_mask(labels)
 
     train, val, test = (
         Batch(x=Tensor(x), pad_mask=Tensor(pad_mask[span.start:span.stop]),
               labels=Tensor(labels[span.start:span.stop]),
-              label_mask=Tensor(label_mask[span.start:span.stop]))
+              label_mask=Tensor(present[span.start:span.stop]))
         for x, span in zip(xs, spans)
     )
     return SynthData(train=train, val=val, test=test,
@@ -358,15 +359,18 @@ def synth_dataset(m: int, n_samples: int, timesteps: int, n_features: int,
 
 def save_dataset(data: SynthData, out_dir, *, m: int, seed: int) -> Path:
     """Write the three splits as NPY pairs plus a manifest; returns the
-    manifest path."""
+    manifest path.  An existing manifest is removed before the first NPY
+    is written, so an interrupted write leaves no manifest beside a mix of
+    old and new files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    manifest_path = out / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     splits = {}
     for name, batch in (("train", data.train), ("val", data.val), ("test", data.test)):
         write_npy(batch.x.data, out / f"{name}_x.npy")
         write_npy(batch.labels.data, out / f"{name}_y.npy")
         splits[name] = {"x": f"{name}_x.npy", "y": f"{name}_y.npy"}
-    manifest_path = out / "manifest.json"
     save_manifest(
         manifest_path,
         m=m,

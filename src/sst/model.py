@@ -234,8 +234,10 @@ def save_weights(model: SstModel, path) -> None:
 
 
 def load_weights(path) -> SstModel:
-    """Rebuild a model from a checkpoint.  A NaN or Inf parameter value is
-    rejected with its name and byte offset."""
+    """Rebuild a model from a checkpoint.  The embedded config fixes the
+    byte length of the parameters, so a file of any other length is
+    rejected as truncated or as having trailing data; a NaN or Inf
+    parameter value is rejected with its name and byte offset."""
     with open(path, "rb") as fh:
         blob = fh.read()
     offset = len(CHECKPOINT_MAGIC)
@@ -263,24 +265,20 @@ def load_weights(path) -> SstModel:
     offset += config_len
 
     model = SstModel(config)
-    arrays = []
-    for name, p in model.parameters():
-        nbytes = p.data.size * 8
-        if len(blob) < offset + nbytes:
-            raise CheckpointError(
-                f"truncated checkpoint: parameter '{name}' needs {nbytes} bytes "
-                f"at offset {offset}, file has {len(blob) - offset}"
-            )
-        arr = np.frombuffer(blob, dtype="<f8", count=p.data.size, offset=offset)
-        finite = np.isfinite(arr)
-        if not finite.all():
-            raise CheckpointError(
-                f"non-finite value in parameter '{name}' at offset "
-                f"{offset + 8 * int(np.argmin(finite))}"
-            )
-        arrays.append(arr.reshape(p.data.shape).astype(np.float64))
-        offset += nbytes
-    if offset != len(blob):
-        raise CheckpointError(f"trailing data after parameters at offset {offset}")
-    model.load_state_arrays(arrays)
+    params = model.parameters()
+    ends = np.cumsum([p.data.size for _, p in params])  # in float64s
+    nbytes, have = 8 * int(ends[-1]), len(blob) - offset
+    if have != nbytes:
+        what = "truncated checkpoint" if have < nbytes else "trailing data in checkpoint"
+        raise CheckpointError(
+            f"{what}: parameters need {nbytes} bytes at offset {offset}, file has {have}")
+    flat = np.frombuffer(blob, dtype="<f8", offset=offset)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        name = params[int(np.searchsorted(ends, i, side="right"))][0]
+        raise CheckpointError(
+            f"non-finite value in parameter '{name}' at offset {offset + 8 * i}")
+    model.load_state_arrays([chunk.reshape(p.data.shape)
+                             for (_, p), chunk in zip(params, np.split(flat, ends[:-1]))])
     return model

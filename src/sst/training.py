@@ -388,7 +388,7 @@ def grid_fingerprint(base: SstConfig, train: Batch, val: Batch, *,
     for batch in (train, val):
         for t in (batch.x, batch.pad_mask, batch.labels, batch.label_mask):
             h.update(repr(t.shape).encode("utf-8"))
-            h.update(t.data.tobytes())
+            h.update(t.data)  # a Tensor's data is C-contiguous, so no copy
     return h.hexdigest()
 
 

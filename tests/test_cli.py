@@ -95,6 +95,35 @@ class TestSynth:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_interrupted_synth_leaves_a_set_that_train_rejects(self, tmp_path, capsys,
+                                                              monkeypatch, k):
+        """A synth into another seed's dataset replaces six NPYs and then the
+        manifest; dying at any of those seven renames leaves a directory
+        that ``sst train`` rejects, never a mix of seeds that trains."""
+        out = tmp_path / "d"
+        assert run(SYNTH + ["--out", str(out)]) == 0
+        real_replace, calls = os.replace, []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == k:
+                raise OSError("interrupted")
+            real_replace(src, dst)
+
+        argv = list(SYNTH) + ["--out", str(out)]
+        argv[argv.index("--seed") + 1] = "8"
+        monkeypatch.setattr(os, "replace", replace)
+        assert run(argv) == 2
+        monkeypatch.undo()
+        assert len(calls) == k
+        capsys.readouterr()
+        assert run(["train", "--manifest", str(out / "manifest.json"),
+                    "--config", str(config_file(tmp_path)), "--epochs-max", "1",
+                    "--out", str(tmp_path / "run")]) == 2
+        assert "manifest.json" in capsys.readouterr().err
+        assert not (tmp_path / "run" / CHECKPOINT_NAME).exists()
+
     def test_env_var_supplies_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SST_OUT_DIR", str(tmp_path / "from_env"))
         assert run(SYNTH) == 0
@@ -223,6 +252,53 @@ class TestTrain:
                     "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and key in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_features", 0), ("m", 0), ("timesteps", 0), ("seed", -1),
+    ])
+    def test_manifest_integer_out_of_range_names_the_file_and_exits_2(
+            self, dataset, tmp_path, capsys, key, value):
+        """``m``, ``n_features`` and ``timesteps`` must be at least 1 and
+        ``seed`` at least 0: a zero width would let a zero-width split pass
+        the shape rule."""
+        doc = json.loads(dataset.read_text())
+        dataset.write_text(json.dumps({**doc, key: value}))
+        assert run(["train", "--manifest", str(dataset), "--set", "dmodel=8",
+                    "--epochs-max", "1", "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert str(dataset) in err and f"'{key}'" in err
+
+    @pytest.mark.parametrize("name, change", [
+        ("train_x.npy", lambda x: x[:, :, :0]),
+        ("val_x.npy", lambda x: np.concatenate([x[:, :, :1], x], axis=2)),
+    ], ids=["no_features", "one_feature_too_wide"])
+    def test_split_not_of_the_manifests_shape_names_the_file_and_exits_2(
+            self, dataset, tmp_path, capsys, name, change):
+        path = dataset.parent / name
+        x = read_npy(path).array
+        changed = change(x)
+        write_npy(changed, path)
+        out = tmp_path / "run"
+        assert run(["train", "--manifest", str(dataset), "--set", "dmodel=8",
+                    "--epochs-max", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: expected shape {x.shape} from the manifest, got {changed.shape}" in err
+        assert not (out / CHECKPOINT_NAME).exists()
+
+    def test_sample_padded_at_every_step_names_the_file_and_row_and_exits_2(
+            self, dataset, tmp_path, capsys):
+        """Such a sample has nothing to pool over; it is rejected at load,
+        by its row in the file, not later by its place in a minibatch."""
+        path = dataset.parent / "train_x.npy"
+        x = read_npy(path).array
+        x[150] = 0.0
+        x[150, :, -1] = 1.0
+        write_npy(x, path)
+        out = tmp_path / "run"
+        assert run(["train", "--manifest", str(dataset), "--set", "dmodel=8",
+                    "--epochs-max", "1", "--out", str(out)]) == 2
+        assert f"{path}: sample 150 is padded at every step" in capsys.readouterr().err
+        assert not (out / CHECKPOINT_NAME).exists()
 
     def test_unknown_config_key_exits_2(self, dataset, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -506,6 +582,23 @@ class TestGrid:
                     "--resume", "--out", str(out)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_resume_from_a_row_with_an_extra_field_exits_2(self, dataset, tmp_path,
+                                                            capsys):
+        """A row must have exactly the header's fields; one more is not read
+        as the six it starts with."""
+        cfg = config_file(tmp_path, epochs_max=[1])
+        grid = ["grid", "--manifest", str(dataset), "--config", str(cfg),
+                "--out", str(tmp_path / "g")]
+        assert run(grid) == 0
+        path = tmp_path / "g" / "grid_results.csv"
+        header, row = path.read_text().splitlines()
+        path.write_text(f"{header}\n{row},extra\n")
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert run(grid + ["--resume"]) == 2
+        assert "line 2: 7 fields, expected 6" in capsys.readouterr().err
+        assert path.read_bytes() == before
+
     def test_set_on_a_swept_key_exits_2(self, dataset, tmp_path, capsys):
         """--set cannot override a key the grid sweeps: the command fails
         naming the key before any point trains or any file is written."""
@@ -638,6 +731,21 @@ class TestEval:
         test_x = truncate("test_x.npy")
         assert run(argv) == 2
         assert f"{test_x}: " in capsys.readouterr().err
+
+    def test_split_with_a_step_missing_names_the_file_and_exits_2(self, trained, dataset,
+                                                                  tmp_path, capsys):
+        """Fewer steps than the manifest's ``timesteps`` is rejected, though
+        the model could score them."""
+        path = dataset.parent / "test_x.npy"
+        x = read_npy(path).array
+        write_npy(x[:, :2], path)
+        out = tmp_path / "ev"
+        assert run(["eval", "--checkpoint", str(trained), "--manifest", str(dataset),
+                    "--out", str(out)]) == 2
+        n, t, f = x.shape
+        assert (f"{path}: expected shape {(n, t, f)} from the manifest, got {(n, 2, f)}"
+                in capsys.readouterr().err)
+        assert not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("task", ["2", "99", "-1"])
     def test_task_out_of_range_exits_2_before_scoring(self, trained, dataset, tmp_path,

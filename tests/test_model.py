@@ -438,6 +438,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=rf"'mlp.2.bias' at offset {len(blob) - 8}"):
             load_weights(path)
 
+    @pytest.mark.parametrize("first", [True, False], ids=["first_value", "last_value"])
+    def test_non_finite_value_names_its_parameter_at_either_end(self, tmp_path, first):
+        """Every parameter's first and last value lie in that parameter."""
+        path = tmp_path / "model.ckpt"
+        model = tiny_model()
+        save_weights(model, path)
+        blob = path.read_bytes()
+        offset = len(blob) - 8 * sum(p.data.size for _, p in model.parameters())
+        for name, p in model.parameters():
+            at = offset if first else offset + 8 * (p.data.size - 1)
+            path.write_bytes(blob[:at] + np.array([np.inf]).tobytes() + blob[at + 8:])
+            with pytest.raises(CheckpointError, match=rf"'{name}' at offset {at}$"):
+                load_weights(path)
+            offset += 8 * p.data.size
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_truncated_or_corrupted_checkpoint_loads_finite_or_raises(self, data):

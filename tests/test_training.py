@@ -704,6 +704,28 @@ class TestGridSearch:
         )
         assert results == [marker]
 
+    def test_fingerprint_hashes_the_arrays_in_place(self):
+        """The digest is the one over each array's ``tobytes()``, so stored
+        rows stay valid, and no array is copied to get it: the traced peak
+        stays far below the bytes of train ``x``."""
+        data = synth_dataset(m=2, n_samples=2000, timesteps=8, n_features=20,
+                             separability=4.0, imbalance=0.2, seed=3)
+        cfg = small_config(n_features=21, max_timesteps=8)
+        h = hashlib.sha256(cfg.to_json().encode("utf-8"))
+        h.update(repr((None, 100)).encode("utf-8"))
+        for batch in (data.train, data.val):
+            for t in (batch.x, batch.pad_mask, batch.labels, batch.label_mask):
+                h.update(repr(t.shape).encode("utf-8"))
+                h.update(t.data.tobytes())
+        tracemalloc.start()
+        try:
+            fp = TR.grid_fingerprint(cfg, data.train, data.val)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fp == h.hexdigest()
+        assert peak < data.train.x.data.nbytes / 10
+
     def test_rows_of_another_dataset_are_retrained(self):
         """Matching values and base config are not enough: a row stored for
         other training data is trained again."""
