@@ -6,6 +6,7 @@ The usual entry points:
     synth_dataset / load_dataset   build or read train/val/test splits
     SstConfig, SstModel            configure and construct the model
     fit, grid_search               train with early stopping, sweep configs
+    FitState                       fit's loop state, to drive epoch by epoch
     task_aucs, roc_curve           evaluate
     save_weights, load_weights     checkpoints
 
@@ -50,6 +51,7 @@ from sst.tensor import (
 from sst.training import (
     Adam,
     DivergenceError,
+    FitState,
     LrSchedule,
     TaskWeights,
     TrainReport,
@@ -68,6 +70,7 @@ __all__ = [
     "CheckpointError",
     "DivergenceError",
     "DomainError",
+    "FitState",
     "LrSchedule",
     "NumericsError",
     "RocCurve",

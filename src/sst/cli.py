@@ -137,6 +137,9 @@ def cmd_train(args) -> int:
     model = SstModel(cfg)
     out = _out_dir(args)
     log_path = out / TRAIN_LOG_NAME
+    # a run that stops partway must not leave its files beside the last run's
+    for stale in (out / CHECKPOINT_NAME, log_path):
+        stale.unlink(missing_ok=True)
 
     try:
         report = fit(model, train, val,

@@ -233,6 +233,16 @@ def save_weights(model: SstModel, path) -> None:
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
+def _parameter_count(cfg: SstConfig) -> int:
+    """Float64s in the parameters of ``SstModel(cfg)``: the embedding, per
+    block four attention projections, the feed-forward pair and two layer
+    norms, then the three MLP layers."""
+    d, f, heads = cfg.dmodel, cfg.dff, 2 * cfg.n_tasks
+    block = 4 * d * d + (d * f + f) + (f * d + d) + 2 * (2 * d)
+    mlp = (d * f + f) + (f * f + f) + (f * heads + heads)
+    return cfg.n_features * d + d + cfg.n_layers * block + mlp
+
+
 def load_weights(path) -> SstModel:
     """Rebuild a model from a checkpoint.  The embedded config fixes the
     byte length of the parameters, so a file of any other length is
@@ -264,14 +274,16 @@ def load_weights(path) -> SstModel:
         raise CheckpointError(f"invalid embedded config: {err}") from err
     offset += config_len
 
-    model = SstModel(config)
-    params = model.parameters()
-    ends = np.cumsum([p.data.size for _, p in params])  # in float64s
-    nbytes, have = 8 * int(ends[-1]), len(blob) - offset
+    # sized from the config alone, so a short file claiming large dims is
+    # rejected before its model is built
+    nbytes, have = 8 * _parameter_count(config), len(blob) - offset
     if have != nbytes:
         what = "truncated checkpoint" if have < nbytes else "trailing data in checkpoint"
         raise CheckpointError(
             f"{what}: parameters need {nbytes} bytes at offset {offset}, file has {have}")
+    model = SstModel(config)
+    params = model.parameters()
+    ends = np.cumsum([p.data.size for _, p in params])  # in float64s
     flat = np.frombuffer(blob, dtype="<f8", offset=offset)
     finite = np.isfinite(flat)
     if not finite.all():

@@ -146,8 +146,13 @@ class Adam:
         self._spans = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
         # moments, the gathered gradient and scratch for m_hat and v_hat
         self._m, self._v, self._g, self._m_hat, self._v_hat = np.zeros((5, edges[-1]))
-        self.m = [self._m[s].reshape(p.shape) for s, (_, p) in zip(self._spans, params)]
-        self.v = [self._v[s].reshape(p.shape) for s, (_, p) in zip(self._spans, params)]
+
+    # views made on each read, so a copied Adam's views see its own buffers
+    m = property(lambda self: self._views(self._m))
+    v = property(lambda self: self._views(self._v))
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        return [flat[s].reshape(p.shape) for s, (_, p) in zip(self._spans, self.params)]
 
     def step(self, lr: float) -> None:
         """One update of every parameter.  Every parameter must have a
@@ -219,11 +224,8 @@ class TrainReport:
 
 def _split_loss(model: SstModel, batch: Batch, tw: TaskWeights, raw: np.ndarray) -> float:
     with T.no_grad():
-        loss = weighted_multitask_loss(
-            raw, batch.labels, batch.label_mask, tw,
-            model.config.uncertainty_weighting,
-        )
-    return loss.item()
+        return weighted_multitask_loss(raw, batch.labels, batch.label_mask, tw,
+                                       model.config.uncertainty_weighting).item()
 
 
 def evaluate_loss(model: SstModel, batch: Batch, tw: TaskWeights) -> float:
@@ -241,105 +243,105 @@ def _validate(model: SstModel, batch: Batch, tw: TaskWeights):
     """``evaluate_loss`` and ``evaluate_aucs`` from one shared run of
     ``SstModel.infer``."""
     raw = model.infer(batch.x, batch.pad_mask.data)
-    probas = pair_probabilities(raw)
     return (_split_loss(model, batch, tw, raw),
-            M.task_aucs(probas, batch.labels.data, batch.label_mask.data))
+            M.task_aucs(pair_probabilities(raw), batch.labels.data, batch.label_mask.data))
+
+
+@dataclass
+class FitState:
+    """What ``fit``'s loop carries between epochs, and nothing derivable:
+    the epoch is ``len(report.epochs)``, the step ``adam.t``, and the
+    epochs since the best ``len(report.epochs) - report.best_epoch``.
+    ``best`` holds the best epoch's parameter arrays and ``log_var``.  A
+    ``copy.deepcopy`` of a state continues with the same bits."""
+
+    model: SstModel
+    task_weights: TaskWeights
+    rng: np.random.Generator
+    adam: Adam
+    report: TrainReport = field(default_factory=TrainReport)
+    best: tuple[list[np.ndarray], np.ndarray] | None = None
+
+    @classmethod
+    def start(cls, model: SstModel, train: Batch) -> "FitState":
+        """Class weights from ``train``, the rng ``[seed, 1]``, and Adam
+        over the parameters with ``log_var`` last if it is trained."""
+        cfg, counts = model.config, label_counts(train.labels.data, train.label_mask.data)
+        tw = TaskWeights.from_counts(counts, cfg.n_tasks)
+        params = list(model.parameters())
+        if cfg.uncertainty_weighting:
+            params.append(("log_var", tw.log_var))
+        return cls(model, tw, np.random.default_rng([cfg.seed, 1]), Adam(params))
+
+    def run_epoch(self, train: Batch, val: Batch) -> EpochRecord:
+        """One shuffled pass over ``train``, then validation on ``val``: the
+        record goes on the report, and an improved val loss takes ``best``.
+        A non-finite value raises ``DivergenceError`` with the report."""
+        cfg, report = self.model.config, self.report
+        sched = LrSchedule(cfg.lr_factor, cfg.dmodel, cfg.warmup)
+        l2_params = self.model.l2_parameters()
+        n, epoch = train.n_samples, len(report.epochs) + 1
+        last_step = self.adam.t + -(-n // cfg.batch_size)
+        perm, epoch_loss = self.rng.permutation(n), 0.0
+        try:
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                epoch_loss += self._step(train, idx, sched, l2_params) * len(idx)
+            val_loss, val_aucs = _validate(self.model, val, self.task_weights)
+        except NumericsError as err:
+            # Adam.step raises before counting; validation follows the last step
+            step = min(self.adam.t + 1, last_step)
+            raise DivergenceError(f"training diverged at epoch {epoch}, step {step}: {err}",
+                                  epoch=epoch, step=step, report=report) from err
+        record = EpochRecord(epoch, epoch_loss / n, val_loss, val_aucs)
+        report.epochs.append(record)
+        if val_loss < report.best_val_loss:
+            report.best_val_loss, report.best_epoch = val_loss, epoch
+            self.best = (self.model.state_arrays(), self.task_weights.log_var.data.copy())
+        return record
+
+    def _step(self, train: Batch, idx, sched: LrSchedule, l2_params) -> float:
+        # returns a float, so the step's graph dies before the next forward
+        cfg = self.model.config
+        probs = self.model.forward(Tensor(train.x.data[idx]), train.pad_mask.data[idx],
+                                   training=True, rng=self.rng)
+        loss = weighted_multitask_loss(probs, train.labels.data[idx], train.label_mask.data[idx],
+                                       self.task_weights, cfg.uncertainty_weighting,
+                                       l2_params, cfg.l2_factor)
+        self.adam.zero_grad()
+        loss.backward()
+        self.adam.step(learning_rate(sched, self.adam.t + 1))
+        return loss.item()
+
+    def restore_best(self) -> None:
+        """Put the best epoch's parameters and ``log_var`` back."""
+        self.model.load_state_arrays(self.best[0])
+        self.task_weights.log_var.data = self.best[1]
 
 
 def fit(model: SstModel, train: Batch, val: Batch, *,
-        epochs_max: int | None = None, patience: int = 100,
-        task_weights: TaskWeights | None = None) -> TrainReport:
+        epochs_max: int | None = None, patience: int = 100) -> TrainReport:
     """Train until validation loss stops improving for `patience` epochs
     (or `epochs_max`), then restore the best snapshot.  Both must be
     integers of at least 1, and ``epochs_max`` may be None for no cap;
-    anything else raises ``ValueError`` naming the argument.
-
-    Deterministic for a fixed config/seed/data: shuffling, dropout, and
-    initialization all derive from config.seed.
-
-    One step's graph is alive at a time: each step runs in a helper that
-    returns the batch loss as a float, so nothing refers to the previous
-    step's tape when the next forward starts.
-    """
-    cfg = model.config
+    anything else raises ``ValueError`` naming the argument.  Shuffling,
+    dropout and initialization all derive from config.seed.  A caller that
+    needs the state between epochs, or ``log_var`` after training, drives
+    a ``FitState``, whose ``run_epoch`` is this loop's body."""
     for name, value in (("epochs_max", epochs_max), ("patience", patience)):
-        if value is None and name == "epochs_max":
-            continue  # no cap: patience alone stops training
-        if not (type(value) is int and value >= 1):
+        # an epochs_max of None is no cap: patience alone stops training
+        if not (type(value) is int and value >= 1 or name == "epochs_max" and value is None):
             raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     if train.n_samples == 0 or val.n_samples == 0:
         raise ValueError("train and validation splits must be non-empty")
 
-    if task_weights is None:
-        counts = label_counts(train.labels.data, train.label_mask.data)
-        task_weights = TaskWeights.from_counts(counts, cfg.n_tasks)
-    tw = task_weights
-
-    rng = np.random.default_rng([cfg.seed, 1])
-    sched = LrSchedule(cfg.lr_factor, cfg.dmodel, cfg.warmup)
-    params = list(model.parameters())
-    if cfg.uncertainty_weighting:
-        params.append(("log_var", tw.log_var))
-    adam = Adam(params)
-    l2_params = model.l2_parameters()
-
-    def train_step(idx) -> float:
-        # the step's graph dies on return, before the next step's forward
-        probs = model.forward(Tensor(train.x.data[idx]), train.pad_mask.data[idx],
-                              training=True, rng=rng)
-        loss = weighted_multitask_loss(
-            probs, train.labels.data[idx], train.label_mask.data[idx],
-            tw, cfg.uncertainty_weighting, l2_params, cfg.l2_factor,
-        )
-        adam.zero_grad()
-        loss.backward()
-        adam.step(learning_rate(sched, step))
-        return loss.item()
-
-    report = TrainReport()
-    since_improved = 0
-    step = 0
-    epoch = 0
-    n = train.n_samples
-
-    while epochs_max is None or epoch < epochs_max:
-        epoch += 1
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        try:
-            for start in range(0, n, cfg.batch_size):
-                idx = perm[start:start + cfg.batch_size]
-                step += 1
-                epoch_loss += train_step(idx) * len(idx)
-            val_loss, val_aucs = _validate(model, val, tw)
-        except NumericsError as err:
-            raise DivergenceError(
-                f"training diverged at epoch {epoch}, step {step}: {err}",
-                epoch=epoch, step=step, report=report,
-            ) from err
-
-        record = EpochRecord(
-            epoch=epoch,
-            train_loss=epoch_loss / n,
-            val_loss=val_loss,
-            val_aucs=val_aucs,
-        )
-        report.epochs.append(record)
-
-        if val_loss < report.best_val_loss:
-            report.best_val_loss = val_loss
-            report.best_epoch = epoch
-            best_snap = (model.state_arrays(), tw.log_var.data.copy())
-            since_improved = 0
-        else:
-            since_improved += 1
-            if since_improved >= patience:
-                report.stopped_early = True
-                break
-
+    state = FitState.start(model, train)
+    report = state.report
+    while not report.stopped_early and (epochs_max is None or len(report.epochs) < epochs_max):
+        state.run_epoch(train, val)
+        report.stopped_early = len(report.epochs) - report.best_epoch >= patience
     # epoch 1 always improves on inf (every op checks its output is finite)
-    model.load_state_arrays(best_snap[0])
-    tw.log_var.data = best_snap[1]
+    state.restore_best()
     return report
 
 
@@ -439,12 +441,9 @@ def grid_search(base: SstConfig, value_lists: dict[str, list],
         if progress is not None:
             progress(results[-1])
 
-    best = None
-    for res in results:
-        if res.error or not np.isfinite(res.mean_val_auc):
-            continue
-        if best is None or res.mean_val_auc > best.mean_val_auc:
-            best = res
+    # max keeps the first of equal AUCs, so ties keep the earliest point
+    best = max((res for res in results if not res.error and np.isfinite(res.mean_val_auc)),
+               key=lambda res: res.mean_val_auc, default=None)
     if best is None:
         raise ValueError("every grid point failed; no best configuration")
     best_overrides = {k: v for k, v in best.values.items() if k not in GRID_ONLY_KEYS}

@@ -389,6 +389,8 @@ class TestTrain:
 
         monkeypatch.setattr(cli_mod, "fit", blow_up)
         out = tmp_path / "run"
+        out.mkdir()
+        (out / "checkpoint.sst").write_bytes(b"a previous run's checkpoint")
         code = run(["train", "--manifest", str(dataset),
                     "--set", "dmodel=8", "--set", "n_heads=1",
                     "--out", str(out)])
@@ -397,6 +399,7 @@ class TestTrain:
         assert "last finite epoch: 1" in err
         with open(out / "train_log.csv", newline="") as fh:
             assert len(list(csv.reader(fh))) == 2
+        assert not (out / "checkpoint.sst").exists()
 
 
 class TestGrid:

@@ -416,6 +416,34 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_weights(path)
 
+    def test_header_claiming_large_dims_is_rejected_before_allocating(self, tmp_path):
+        """The parameter byte length comes from the config alone: a
+        header-only file that claims dmodel = dff = 1024 (about 118 MB of
+        weights once built) is called truncated without building them."""
+        cfg = SstConfig(**{**TINY, "dmodel": 1024, "dff": 1024})
+        config_bytes = cfg.to_json().encode("utf-8")
+        path = tmp_path / "header_only.sst"
+        path.write_bytes(model_module.CHECKPOINT_MAGIC
+                         + bytes([model_module.CHECKPOINT_VERSION])
+                         + len(config_bytes).to_bytes(8, "little") + config_bytes)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"n_layers": 3}, {"dmodel": 12, "n_heads": 3, "dff": 5},
+        {"n_features": 1, "n_tasks": 7, "dff": 1}, {"n_layers": 2, "dmodel": 6, "n_heads": 1},
+    ])
+    def test_parameter_count_matches_the_built_model(self, overrides):
+        cfg = SstConfig(**{**TINY, **overrides})
+        built = sum(p.data.size for _, p in SstModel(cfg).parameters())
+        assert model_module._parameter_count(cfg) == built
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)

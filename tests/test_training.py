@@ -1,6 +1,7 @@
 """Training stack: weight formula, loss oracles, schedule, Adam, fit loop,
 grid search."""
 
+import copy
 import hashlib
 import logging
 import math
@@ -18,6 +19,7 @@ from sst.tensor import NumericsError, Tensor
 from sst.training import (
     Adam,
     DivergenceError,
+    FitState,
     GridResult,
     LrSchedule,
     TaskWeights,
@@ -425,23 +427,44 @@ class TestFit:
 
     def test_restored_weights_reproduce_best_val_loss(self):
         data = small_data()
-        model = SstModel(small_config())
-        counts = label_counts(data.train.labels.data, data.train.label_mask.data)
-        tw = TaskWeights.from_counts(counts, 2)
-        report = fit(model, data.train, data.val, epochs_max=12, task_weights=tw)
-        assert evaluate_loss(model, data.val, tw) == report.best_val_loss
+        state = FitState.start(SstModel(small_config()), data.train)
+        for _ in range(12):
+            state.run_epoch(data.train, data.val)
+        state.restore_best()
+        assert evaluate_loss(state.model, data.val, state.task_weights) == \
+            state.report.best_val_loss
 
     def test_epoch_record_matches_standalone_evaluation(self):
-        """fit validates from one shared forward pass; its record must equal
-        evaluate_loss and evaluate_aucs bit for bit."""
+        """An epoch validates from one shared forward pass; its record must
+        equal evaluate_loss and evaluate_aucs bit for bit."""
         data = small_data()
-        model = SstModel(small_config())
-        counts = label_counts(data.train.labels.data, data.train.label_mask.data)
-        tw = TaskWeights.from_counts(counts, 2)
-        report = fit(model, data.train, data.val, epochs_max=1, task_weights=tw)
-        record = report.epochs[0]
-        assert record.val_loss == evaluate_loss(model, data.val, tw)
-        assert record.val_aucs == evaluate_aucs(model, data.val)
+        state = FitState.start(SstModel(small_config()), data.train)
+        record = state.run_epoch(data.train, data.val)
+        assert record.val_loss == evaluate_loss(state.model, data.val, state.task_weights)
+        assert record.val_aucs == evaluate_aucs(state.model, data.val)
+
+    @pytest.mark.parametrize("uncertainty", [True, False], ids=["weighted", "unweighted"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_copied_state_resumes_bit_for_bit(self, tmp_path, uncertainty, k):
+        """A deep copy of the state after epoch k, finished alone, gives the
+        checkpoint and train log bytes of one uninterrupted fit."""
+        data, cfg, epochs = small_data(), small_config(uncertainty_weighting=uncertainty), 5
+        model = SstModel(cfg)
+        fit(model, data.train, data.val, epochs_max=epochs).to_csv(tmp_path / "fit.csv")
+        save_weights(model, tmp_path / "fit.sst")
+
+        state = FitState.start(SstModel(cfg), data.train)
+        for _ in range(k):
+            state.run_epoch(data.train, data.val)
+        resumed = copy.deepcopy(state)
+        del state
+        while len(resumed.report.epochs) < epochs:
+            resumed.run_epoch(data.train, data.val)
+        resumed.restore_best()
+        resumed.report.to_csv(tmp_path / "resumed.csv")
+        save_weights(resumed.model, tmp_path / "resumed.sst")
+        for a, b in (("fit.sst", "resumed.sst"), ("fit.csv", "resumed.csv")):
+            assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes(), a
 
     def test_patience_bound(self):
         data = small_data()
@@ -485,6 +508,30 @@ class TestFit:
             fit(model, poisoned, data.val, epochs_max=2)
         assert exc.value.epoch == 1 and exc.value.step == 1
         assert exc.value.report is not None
+
+    @pytest.mark.parametrize("phase", ["training", "validation"])
+    def test_divergence_in_epoch_two_names_its_step(self, monkeypatch, phase):
+        """A numerics error in epoch 2 names epoch 2 and the global step: the
+        failing step in training, the epoch's last step in validation."""
+        data = small_data()
+        cfg = small_config()
+        model = SstModel(cfg)
+        per_epoch = -(-data.train.n_samples // cfg.batch_size)
+        fail_at = per_epoch + 2 if phase == "training" else 2
+        forward, calls = model.forward, {True: 0, False: 0}
+
+        def failing(x, pad_mask, training=False, rng=None):
+            calls[training] += 1
+            if calls[training] == fail_at and training == (phase == "training"):
+                raise NumericsError("injected")
+            return forward(x, pad_mask, training=training, rng=rng)
+
+        monkeypatch.setattr(model, "forward", failing)
+        with pytest.raises(DivergenceError, match="injected") as exc:
+            fit(model, data.train, data.val, epochs_max=3)
+        step = fail_at if phase == "training" else 2 * per_epoch
+        assert per_epoch > 1 and (exc.value.epoch, exc.value.step) == (2, step)
+        assert [rec.epoch for rec in exc.value.report.epochs] == [1]
 
     def test_previous_step_graph_is_freed_before_the_next_forward(self, monkeypatch):
         """When a training forward starts, nothing refers to the previous
