@@ -32,8 +32,8 @@ from sst.metrics import (
     roc_to_csv,
     task_aucs,
 )
-from sst.fileio import atomic_write, write_table
-from sst.model import CheckpointError, SstConfig, SstModel, load_weights, save_weights
+from sst.fileio import atomic_write, read_json_object, write_table
+from sst.model import SstConfig, SstModel, load_weights, save_weights
 from sst.training import DivergenceError, GridResult, fit, grid_points, grid_search
 
 ENV_OUT_DIR = "SST_OUT_DIR"
@@ -55,14 +55,6 @@ def _out_dir(args) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _read_json_object(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return obj
 
 
 def _parse_set(pairs: list[str]) -> dict:
@@ -120,9 +112,8 @@ def cmd_synth(args) -> int:
     out = _out_dir(args)
     manifest_path = save_dataset(data, out, m=args.tasks, seed=args.seed)
 
-    counts = np.zeros((args.tasks, 2), dtype=np.int64)
-    for batch in (data.train, data.val, data.test):
-        counts += label_counts(batch.labels.data, batch.label_mask.data)
+    counts = sum(label_counts(batch.labels.data, batch.label_mask.data)
+                 for batch in (data.train, data.val, data.test))
     print("task  n_neg  n_pos")
     for j in range(args.tasks):
         print(f"{j:>4}  {counts[j, 0]:>5}  {counts[j, 1]:>5}")
@@ -132,7 +123,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     (train, val), manifest = load_splits(args.manifest, ("train", "val"))
-    file_cfg = _read_json_object(args.config) if args.config else {}
+    file_cfg = read_json_object(args.config) if args.config else {}
     cfg = _build_config(file_cfg, manifest, _parse_set(args.set))
     model = SstModel(cfg)
     out = _out_dir(args)
@@ -150,8 +141,10 @@ def cmd_train(args) -> int:
         print(f"error: {err} (last finite epoch: {len(err.report.epochs)})", file=sys.stderr)
         return 3
 
-    save_weights(model, out / CHECKPOINT_NAME)
+    # the log first: a run that stops between the two writes leaves no
+    # checkpoint, the file eval reads, without its log
     report.to_csv(log_path)
+    save_weights(model, out / CHECKPOINT_NAME)
     # the checkpoint holds the best epoch's weights, so show its AUCs
     aucs = report.epochs[report.best_epoch - 1].val_aucs
     shown = ", ".join("—" if a is None else f"{a:.4f}" for a in aucs)
@@ -193,7 +186,7 @@ def cmd_grid(args) -> int:
     if args.config is None:
         raise ValueError("grid requires --config with at least one value list")
     (train, val), manifest = load_splits(args.manifest, ("train", "val"))
-    raw = _read_json_object(args.config)
+    raw = read_json_object(args.config)
     value_lists = {k: list(v) for k, v in raw.items() if isinstance(v, list)}
     scalars = {k: v for k, v in raw.items() if not isinstance(v, list)}
     if not value_lists:
@@ -218,6 +211,9 @@ def cmd_grid(args) -> int:
     existing = None
     if args.resume and results_path.exists():
         existing = _read_grid_csv(results_path)
+    # a grid that stops partway must not leave the last grid's pick beside
+    # its own results; the results stay, as --resume reads them
+    (out / BEST_CONFIG_NAME).unlink(missing_ok=True)
 
     # rewritten after every point, so an interrupted grid can be resumed
     rows = dict(existing or {})
@@ -255,23 +251,18 @@ def cmd_eval(args) -> int:
     labels = batch.labels.data
     label_mask = batch.label_mask.data
 
-    per_run = []
-    first_probas = None
-    for ck in args.checkpoint:
-        try:
-            model = load_weights(ck)
-        except CheckpointError as err:
-            raise CheckpointError(f"{ck}: {err}") from err
+    models = [load_weights(ck) for ck in args.checkpoint]
+    for ck, model in zip(args.checkpoint, models):
         _check_geometry(vars(model.config), manifest, f"{ck}: checkpoint")
-        probas = model.predict_proba(batch.x, batch.pad_mask).data
-        if first_probas is None:
-            first_probas = probas
-        per_run.append(task_aucs(probas, labels, label_mask))
-
-    counts = label_counts(labels, label_mask)
-    rows = multi_seed_report(per_run, counts[:, 1], counts[:, 0])
     out = _out_dir(args)
-    report_to_csv(rows, out / REPORT_NAME)
+    # removed now and written last, so an eval that stops partway leaves no
+    # report, its own or the last eval's, beside ROC files of another run
+    (out / REPORT_NAME).unlink(missing_ok=True)
+
+    probas = [model.predict_proba(batch.x, batch.pad_mask).data for model in models]
+    counts = label_counts(labels, label_mask)
+    rows = multi_seed_report([task_aucs(p, labels, label_mask) for p in probas],
+                             counts[:, 1], counts[:, 0])
     print(format_report(rows))
 
     # ROC for the requested task, else the best-scoring one
@@ -280,22 +271,23 @@ def cmd_eval(args) -> int:
         defined = [r for r in rows if r.mean_auc is not None]
         task = max(defined, key=lambda r: r.mean_auc).task_id if defined else None
 
+    written = [out / REPORT_NAME]
     if task is None or rows[task].mean_auc is None:
         which = "no task has" if task is None else f"task {task} has no"
         print(f"{which} two classes in this split; ROC skipped")
-        print(f"wrote {out / REPORT_NAME}")
-        return 0
-
-    present = label_mask[:, task] == 1
-    curve = roc_curve(first_probas[present, task],
-                      labels[present, 2 * task + 1].astype(np.int64),
-                      task_id=task)
-    roc_csv = out / f"roc_task{task}.csv"
-    roc_svg_path = out / f"roc_task{task}.svg"
-    roc_to_csv([curve], roc_csv)
-    with atomic_write(roc_svg_path, "w", encoding="utf-8") as fh:
-        fh.write(roc_svg(curve))
-    print(f"wrote {out / REPORT_NAME}, {roc_csv}, {roc_svg_path}")
+    else:
+        present = label_mask[:, task] == 1
+        curve = roc_curve(probas[0][present, task],
+                          labels[present, 2 * task + 1].astype(np.int64),
+                          task_id=task)
+        roc_csv = out / f"roc_task{task}.csv"
+        roc_svg_path = out / f"roc_task{task}.svg"
+        roc_to_csv([curve], roc_csv)
+        with atomic_write(roc_svg_path, "w", encoding="utf-8") as fh:
+            fh.write(roc_svg(curve))
+        written += [roc_csv, roc_svg_path]
+    report_to_csv(rows, out / REPORT_NAME)
+    print(f"wrote {', '.join(map(str, written))}")
     return 0
 
 

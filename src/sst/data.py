@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sst.fileio import atomic_write
-from sst.npyio import NpyFormatError, read_npy, write_npy
+from sst.fileio import atomic_write, read_json_object
+from sst.npyio import read_npy, write_npy
 from sst.tensor import NumericsError, Tensor
 
 
@@ -140,9 +140,7 @@ def load_manifest(path) -> dict:
     ``seed`` of at least 0, and ``splits`` mapping each split name to an
     object of string ``x`` and ``y`` paths.  Anything else raises
     ``ValueError`` naming the file and the key."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: manifest must be a JSON object, got {type(doc).__name__}")
+    doc = read_json_object(path)
     if set(doc) != MANIFEST_KEYS:
         raise ValueError(
             f"{path}: manifest must have exactly keys {sorted(MANIFEST_KEYS)}, got {sorted(doc)}"
@@ -177,10 +175,7 @@ def load_split(x_path, y_path, *, m: int, timesteps: int, n_features: int) -> Ba
     """
     tensors = []
     for path, tail in ((x_path, (timesteps, n_features)), (y_path, (2 * m,))):
-        try:
-            npy = read_npy(path)
-        except NpyFormatError as err:
-            raise NpyFormatError(f"{path}: {err}") from err
+        npy = read_npy(path)
         if npy.fortran_order:
             raise ValueError(f"{path}: pipeline accepts C-order arrays only")
         n = (tensors[0] if tensors else npy).shape[:1]  # y takes x's sample count
@@ -367,16 +362,11 @@ def save_dataset(data: SynthData, out_dir, *, m: int, seed: int) -> Path:
     manifest_path = out / "manifest.json"
     manifest_path.unlink(missing_ok=True)
     splits = {}
-    for name, batch in (("train", data.train), ("val", data.val), ("test", data.test)):
+    for name in SPLIT_NAMES:
+        batch = getattr(data, name)
         write_npy(batch.x.data, out / f"{name}_x.npy")
         write_npy(batch.labels.data, out / f"{name}_y.npy")
         splits[name] = {"x": f"{name}_x.npy", "y": f"{name}_y.npy"}
-    save_manifest(
-        manifest_path,
-        m=m,
-        n_features=data.train.x.shape[-1],
-        timesteps=data.timesteps,
-        seed=seed,
-        splits=splits,
-    )
+    save_manifest(manifest_path, m=m, n_features=data.train.x.shape[-1],
+                  timesteps=data.timesteps, seed=seed, splits=splits)
     return manifest_path

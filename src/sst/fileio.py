@@ -1,7 +1,8 @@
 """Crash-safe file replacement for the durable outputs (checkpoints, logs,
 grid results, selected configs, evaluation reports, ROC curves, and the
-NPY arrays and manifest of a synthesized dataset), and ``write_table``,
-the one writer of the CSV tables among them.
+NPY arrays and manifest of a synthesized dataset), ``write_table``, the
+one writer of the CSV tables among them, and ``read_json_object``, the one
+reader of JSON inputs (manifests and config files).
 
 A writer opens a temporary file next to the target, and only a complete,
 flushed and synced file is renamed over the target with ``os.replace``.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import json
 import os
 from pathlib import Path
 
@@ -49,3 +51,16 @@ def write_table(path, header, rows) -> None:
             writer.writerow(["" if v is None
                              else repr(float(v)) if isinstance(v, (float, np.floating))
                              else v for v in row])
+
+
+def read_json_object(path) -> dict:
+    """The JSON object in the UTF-8 file ``path``.  Bytes that are not
+    UTF-8, malformed JSON, or a JSON value other than an object raise
+    ``ValueError`` naming the file."""
+    try:  # UnicodeDecodeError and JSONDecodeError are both ValueErrors
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: must be a JSON object, got {type(obj).__name__}")
+    return obj

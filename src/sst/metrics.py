@@ -57,7 +57,7 @@ def roc_curve(scores, labels, task_id: int = 0) -> RocCurve:
     sorted_pos = (labels[order] == 1).astype(np.int64)
 
     # close each group of tied scores with one vertex
-    distinct = np.flatnonzero(np.diff(sorted_scores)) if len(scores) > 1 else np.array([], int)
+    distinct = np.flatnonzero(np.diff(sorted_scores))
     ends = np.append(distinct, len(scores) - 1)
 
     tp = np.cumsum(sorted_pos)[ends]

@@ -129,7 +129,6 @@ class SstModel(L.Module):
         self.config = config
         rng = np.random.default_rng([config.seed, 0])
         self.embedding = L.DenseLayer(config.n_features, config.dmodel, "none", rng)
-        self.pe_table = L.positional_encoding_table(config.max_timesteps, config.dmodel)
         self.blocks = [
             L.EncoderBlock(config.dmodel, config.dff, config.n_heads,
                            config.dropout_rate, rng)
@@ -150,9 +149,10 @@ class SstModel(L.Module):
             raise ValueError("training-mode forward needs an rng for dropout")
         rate, batch, length = self.config.dropout_rate, x.shape[0], x.shape[1]
 
-        # the positional encoding and each dropout run inside their layer's node
+        # the positional encoding, built for this input's length alone, and
+        # each dropout run inside their layer's node
         keep = L.dropout_mask((batch, length, self.config.dmodel), rate, training, rng)
-        h = self.embedding(x, self.pe_table[:length], keep, rate)
+        h = self.embedding(x, L.positional_encoding_table(length, self.config.dmodel), keep, rate)
         for block in self.blocks:
             h = block(h, pad_mask, training, rng)
         pooled = L.global_average_pool(h, pad_mask)
@@ -244,34 +244,34 @@ def _parameter_count(cfg: SstConfig) -> int:
 
 
 def load_weights(path) -> SstModel:
-    """Rebuild a model from a checkpoint.  The embedded config fixes the
-    byte length of the parameters, so a file of any other length is
-    rejected as truncated or as having trailing data; a NaN or Inf
-    parameter value is rejected with its name and byte offset."""
+    """Rebuild a model from a checkpoint; every ``CheckpointError`` names
+    ``path``.  The embedded config fixes the byte length of the parameters,
+    so a file of any other length is rejected as truncated or as having
+    trailing data, and a NaN or Inf parameter by its name and byte offset."""
     with open(path, "rb") as fh:
         blob = fh.read()
     offset = len(CHECKPOINT_MAGIC)
     if blob[:offset] != CHECKPOINT_MAGIC:
-        raise CheckpointError("not a checkpoint file (bad magic at offset 0)")
+        raise CheckpointError(f"{path}: not a checkpoint file (bad magic at offset 0)")
     if len(blob) < offset + 9:
-        raise CheckpointError(f"truncated checkpoint header at offset {len(blob)}")
+        raise CheckpointError(f"{path}: truncated checkpoint header at offset {len(blob)}")
     version = blob[offset]
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}"
+            f"{path}: unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}"
         )
     offset += 1
     config_len = int.from_bytes(blob[offset:offset + 8], "little")
     offset += 8
     if len(blob) < offset + config_len:
         raise CheckpointError(
-            f"truncated checkpoint: config needs {config_len} bytes at offset {offset}"
+            f"{path}: truncated checkpoint: config needs {config_len} bytes at offset {offset}"
         )
     try:
         raw = json.loads(blob[offset:offset + config_len].decode("utf-8"))
         config = SstConfig.from_dict(raw)
     except (ValueError, TypeError) as err:
-        raise CheckpointError(f"invalid embedded config: {err}") from err
+        raise CheckpointError(f"{path}: invalid embedded config: {err}") from err
     offset += config_len
 
     # sized from the config alone, so a short file claiming large dims is
@@ -280,7 +280,7 @@ def load_weights(path) -> SstModel:
     if have != nbytes:
         what = "truncated checkpoint" if have < nbytes else "trailing data in checkpoint"
         raise CheckpointError(
-            f"{what}: parameters need {nbytes} bytes at offset {offset}, file has {have}")
+            f"{path}: {what}: parameters need {nbytes} bytes at offset {offset}, file has {have}")
     model = SstModel(config)
     params = model.parameters()
     ends = np.cumsum([p.data.size for _, p in params])  # in float64s
@@ -290,7 +290,7 @@ def load_weights(path) -> SstModel:
         i = int(np.argmin(finite))
         name = params[int(np.searchsorted(ends, i, side="right"))][0]
         raise CheckpointError(
-            f"non-finite value in parameter '{name}' at offset {offset + 8 * i}")
+            f"{path}: non-finite value in parameter '{name}' at offset {offset + 8 * i}")
     model.load_state_arrays([chunk.reshape(p.data.shape)
                              for (_, p), chunk in zip(params, np.split(flat, ends[:-1]))])
     return model

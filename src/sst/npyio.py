@@ -2,9 +2,10 @@
 
 The published sensor datasets ship as headerless numerical tensors in this
 format, so ingestion cannot lean on pickle or other sidecars.  Parsing is
-strict: every failure names the byte offset where the file went wrong.
-Only little-endian float32/float64 payloads are supported.  Files written
-here are readable by any conforming NPY reader and vice versa.
+strict: every failure names the byte offset where the file went wrong, and
+``read_npy``'s name the file too.  Only little-endian float32/float64
+payloads are supported.  Files written here are readable by any conforming
+NPY reader and vice versa.
 
 Layout: 6-byte magic, 2-byte version, 2-byte little-endian header length,
 an ASCII dict literal with keys descr/fortran_order/shape padded so the
@@ -46,11 +47,8 @@ def write_npy(arr, path) -> None:
     interrupted write leaves any previous file at ``path`` intact.  A
     C-contiguous array is written from its own buffer, without a copy."""
     arr = np.asarray(arr)
-    if arr.dtype == np.float32:
-        descr = "<f4"
-    elif arr.dtype == np.float64:
-        descr = "<f8"
-    else:
+    descr = arr.dtype.str
+    if descr not in SUPPORTED_DESCRS:
         raise NpyFormatError(f"unsupported dtype {arr.dtype}, expected float32 or float64")
 
     header = "{'descr': %r, 'fortran_order': False, 'shape': %r, }" % (
@@ -71,15 +69,19 @@ def write_npy(arr, path) -> None:
 
 
 def read_npy(path) -> NpyArray:
-    """Read and parse an NPY file.  The file is read into one buffer, and
-    the returned array is a writable view of it, so the data is held once."""
+    """Read and parse an NPY file; every ``NpyFormatError`` names ``path``.
+    The file is read into one buffer, and the returned array is a writable
+    view of it, so the data is held once."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         blob = bytearray(size)
         got = fh.readinto(blob)
     if got != size:
-        raise NpyFormatError(f"file ends at byte {got}, but its size was {size} bytes")
-    return parse_npy(blob)
+        raise NpyFormatError(f"{path}: file ends at byte {got}, but its size was {size} bytes")
+    try:
+        return parse_npy(blob)
+    except NpyFormatError as err:
+        raise NpyFormatError(f"{path}: {err}") from err
 
 
 def parse_npy(blob: bytes | bytearray) -> NpyArray:

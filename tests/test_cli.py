@@ -38,6 +38,21 @@ def dataset(tmp_path):
     return out / "manifest.json"
 
 
+def fail_replace_at(monkeypatch, k):
+    """Make the k-th ``os.replace`` raise, so the k-th atomic write of a
+    command fails before its target changes; returns the targets seen."""
+    real_replace, calls = os.replace, []
+
+    def replace(src, dst):
+        calls.append(Path(dst).name)
+        if len(calls) == k:
+            raise OSError("interrupted")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return calls
+
+
 def config_file(tmp_path, **keys):
     path = tmp_path / "config.json"
     base = dict(n_layers=1, dmodel=16, dff=16, n_heads=2, dropout_rate=0.1,
@@ -103,17 +118,9 @@ class TestSynth:
         that ``sst train`` rejects, never a mix of seeds that trains."""
         out = tmp_path / "d"
         assert run(SYNTH + ["--out", str(out)]) == 0
-        real_replace, calls = os.replace, []
-
-        def replace(src, dst):
-            calls.append(dst)
-            if len(calls) == k:
-                raise OSError("interrupted")
-            real_replace(src, dst)
-
         argv = list(SYNTH) + ["--out", str(out)]
         argv[argv.index("--seed") + 1] = "8"
-        monkeypatch.setattr(os, "replace", replace)
+        calls = fail_replace_at(monkeypatch, k)
         assert run(argv) == 2
         monkeypatch.undo()
         assert len(calls) == k
@@ -241,13 +248,15 @@ class TestTrain:
         ({"splits": {"train": {"x": 1, "y": "train_y.npy"}}}, "train"),
         ({"m": True}, "'m'"),
         ({"timesteps": 3.0}, "'timesteps'"),
+        (b"{'m': 2}", "Expecting property name"),
+        (b"\xff{}", "utf-8"),
     ])
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, change, key):
         doc = change if not isinstance(change, dict) else {
             "m": 2, "n_features": 9, "timesteps": 3, "seed": 7,
             "splits": {"train": {"x": "train_x.npy", "y": "train_y.npy"}}, **change}
         path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(doc))
+        path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         assert run(["train", "--manifest", str(path), "--epochs-max", "1",
                     "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
@@ -305,6 +314,38 @@ class TestTrain:
         cfg.write_text(json.dumps({"momentum": 0.9}))
         assert run(["train", "--manifest", str(dataset), "--config", str(cfg),
                     "--epochs-max", "1", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("blob", [b"{dmodel: 8}", b"\xff{}", b"[1]"],
+                             ids=["not_json", "not_utf8", "not_an_object"])
+    def test_config_that_is_not_a_json_object_names_the_file_and_exits_2(
+            self, dataset, tmp_path, capsys, blob):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(blob)
+        out = tmp_path / "run"
+        assert run(["train", "--manifest", str(dataset), "--config", str(cfg),
+                    "--epochs-max", "1", "--out", str(out)]) == 2
+        assert f"error: {cfg}: " in capsys.readouterr().err
+        assert not (out / CHECKPOINT_NAME).exists()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_failed_write_leaves_no_checkpoint_without_its_log(self, dataset, tmp_path,
+                                                                monkeypatch, k):
+        """A run into a directory holding another run's files writes its log
+        and then its checkpoint; a failure at either write leaves no
+        checkpoint, and any log left is this run's."""
+        argv = ["train", "--manifest", str(dataset), "--config", str(config_file(tmp_path)),
+                "--epochs-max", "1", "--out"]
+        whole, out = tmp_path / "whole", tmp_path / "run"
+        assert run(argv + [str(whole), "--set", "seed=1"]) == 0
+        assert run(argv + [str(out)]) == 0
+        calls = fail_replace_at(monkeypatch, k)
+        assert run(argv + [str(out), "--set", "seed=1"]) == 2
+        monkeypatch.undo()
+        assert calls == [TRAIN_LOG_NAME, CHECKPOINT_NAME][:k]
+        assert not (out / CHECKPOINT_NAME).exists()
+        log = out / TRAIN_LOG_NAME
+        assert (log.read_bytes() == (whole / TRAIN_LOG_NAME).read_bytes() if k == 2
+                else not log.exists())
 
     def test_geometry_mismatch_exits_2(self, dataset, tmp_path):
         cfg = config_file(tmp_path, n_features=5)
@@ -622,6 +663,44 @@ class TestGrid:
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "g" / "grid_results.csv").exists()
 
+    @pytest.mark.parametrize("blob", [b"{lr_factor: [0.5]}", b"\xff{}"],
+                             ids=["not_json", "not_utf8"])
+    def test_config_that_is_not_json_names_the_file_and_exits_2(self, dataset, tmp_path,
+                                                               capsys, blob):
+        cfg = tmp_path / "grid.json"
+        cfg.write_bytes(blob)
+        out = tmp_path / "g"
+        assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),
+                    "--out", str(out)]) == 2
+        assert f"error: {cfg}: " in capsys.readouterr().err
+        assert not (out / "grid_results.csv").exists()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_failed_write_leaves_no_stale_best_config(self, dataset, tmp_path,
+                                                      monkeypatch, k):
+        """A one-point grid writes its results after the point, again at
+        the end, and then ``best_config.json``; a failure at any of the
+        three leaves no ``best_config.json``, the last grid's included."""
+        out = tmp_path / "g"
+        grid = ["grid", "--manifest", str(dataset), "--epochs-max", "1", "--out", str(out)]
+        assert run(grid + ["--config", str(config_file(tmp_path, lr_factor=[0.5]))]) == 0
+        assert (out / "best_config.json").exists()
+        calls = fail_replace_at(monkeypatch, k)
+        assert run(grid + ["--config", str(config_file(tmp_path, lr_factor=[0.2]))]) == 2
+        monkeypatch.undo()
+        assert calls == ["grid_results.csv", "grid_results.csv", "best_config.json"][:k]
+        assert not (out / "best_config.json").exists()
+
+    def test_grid_whose_points_all_fail_leaves_no_stale_best_config(self, dataset,
+                                                                    tmp_path, capsys):
+        out = tmp_path / "g"
+        grid = ["grid", "--manifest", str(dataset), "--epochs-max", "1", "--out", str(out)]
+        assert run(grid + ["--config", str(config_file(tmp_path, lr_factor=[0.5]))]) == 0
+        assert run(grid + ["--config", str(config_file(tmp_path, dropout_rate=[1.5]))]) == 2
+        assert "every grid point failed" in capsys.readouterr().err
+        assert not (out / "best_config.json").exists()
+        assert (out / "grid_results.csv").exists()
+
     def test_no_value_lists_exits_2(self, dataset, tmp_path):
         cfg = config_file(tmp_path)
         assert run(["grid", "--manifest", str(dataset), "--config", str(cfg),
@@ -662,6 +741,23 @@ class TestEval:
             outs.append(out)
         a, b = outs
         assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_failed_write_leaves_no_stale_report(self, trained, dataset, tmp_path,
+                                                 monkeypatch, k):
+        """An eval writes its ROC files and then ``report.csv``; a failure
+        at any of the three writes leaves no report, the last eval's
+        included."""
+        out = tmp_path / "ev"
+        argv = ["eval", "--checkpoint", str(trained), "--manifest", str(dataset),
+                "--out", str(out)]
+        assert run(argv + ["--split", "test"]) == 0
+        assert (out / "report.csv").exists()
+        calls = fail_replace_at(monkeypatch, k)
+        assert run(argv + ["--split", "val", "--task", "0"]) == 2
+        monkeypatch.undo()
+        assert calls == ["roc_task0.csv", "roc_task0.svg", "report.csv"][:k]
+        assert not (out / "report.csv").exists()
 
     def test_multi_checkpoint_aggregates(self, dataset, tmp_path):
         cks = []

@@ -3,6 +3,7 @@ checkpoint round trips."""
 
 import functools
 import hashlib
+import json
 import math
 import tempfile
 import tracemalloc
@@ -415,6 +416,43 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) - 16])
         with pytest.raises(CheckpointError, match="truncated"):
             load_weights(path)
+
+    def test_truncated_file_error_names_the_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_weights(tiny_model(), path)
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(CheckpointError) as err:
+            load_weights(path)
+        assert str(err.value).startswith(f"{path}: truncated checkpoint")
+
+    def test_claimed_max_timesteps_allocates_no_positional_table(self, tmp_path):
+        """Positional rows are built per forward for the input's own length:
+        a checkpoint of valid length that claims max_timesteps = 400,000
+        loads without a [400,000, dmodel] table, and scores inputs no longer
+        than the original's max_timesteps bit for bit as the original."""
+        original = tmp_path / "original.ckpt"
+        save_weights(tiny_model(seed=3), original)
+        blob = original.read_bytes()
+        start = len(model_module.CHECKPOINT_MAGIC) + 9
+        end = start + int.from_bytes(blob[start - 8:start], "little")
+        raw = json.loads(blob[start:end])
+        claimed = SstConfig(**{**raw, "max_timesteps": 400_000}).to_json().encode("utf-8")
+        path = tmp_path / "claimed.ckpt"
+        path.write_bytes(blob[:start - 8] + len(claimed).to_bytes(8, "little")
+                         + claimed + blob[end:])
+        tracemalloc.start()
+        try:
+            loaded = load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6 and loaded.config.max_timesteps == 400_000
+        reference, rng = load_weights(original), np.random.default_rng(4)
+        for t in range(1, TINY["max_timesteps"] + 1):
+            x = rng.normal(size=(3, t, TINY["n_features"]))
+            mask = (np.arange(t) >= rng.integers(1, t + 1, size=(3, 1))).astype(np.float64)
+            assert (loaded.predict_proba(x, mask).data.tobytes()
+                    == reference.predict_proba(x, mask).data.tobytes())
 
     def test_header_claiming_large_dims_is_rejected_before_allocating(self, tmp_path):
         """The parameter byte length comes from the config alone: a

@@ -78,6 +78,23 @@ def test_file_shorter_than_its_size_is_a_format_error(tmp_path, monkeypatch):
         read_npy(path)
 
 
+@pytest.mark.parametrize("cut", [8, 100], ids=["data_section", "header"])
+def test_truncated_file_error_names_the_file(tmp_path, cut):
+    """``read_npy`` names its file in every format error, so no caller has
+    to add it."""
+    path = tmp_path / "a.npy"
+    write_npy(np.zeros((4, 3)), path)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(NpyFormatError) as err:
+        read_npy(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_big_endian_array_is_not_written(tmp_path):
+    with pytest.raises(NpyFormatError, match="unsupported dtype >f8"):
+        write_npy(np.zeros(3, dtype=">f8"), tmp_path / "a.npy")
+
+
 def test_data_section_64_byte_aligned(tmp_path):
     path = tmp_path / "a.npy"
     write_npy(np.zeros((7, 11)), path)
